@@ -17,7 +17,7 @@ from .energy import (CATEGORIES, ChunkingScenario, DIGITAL_BASELINES, EnergyRepo
                      HardwareProfile, LAYER_CLASSES, PhotonPolicy, advantage,
                      chunked_gpu_energy, chunked_onn_energy, clipped_policy,
                      default_policy, default_profile, electrical_energy, future_profile,
-                     optical_energy, total_energy)
+                     total_energy)
 
 __all__ = [
     "__version__",
@@ -39,6 +39,5 @@ __all__ = [
     "HardwareProfile", "PhotonPolicy", "EnergyReport", "ChunkingScenario",
     "LAYER_CLASSES", "CATEGORIES", "DIGITAL_BASELINES", "default_profile",
     "future_profile", "default_policy", "clipped_policy", "electrical_energy",
-    "optical_energy", "total_energy", "advantage", "chunked_onn_energy",
-    "chunked_gpu_energy",
+    "total_energy", "advantage", "chunked_onn_energy", "chunked_gpu_energy",
 ]

@@ -14,9 +14,8 @@ import json
 import math
 import os
 import sys
-import tempfile
 import time
-from dataclasses import dataclass, fields
+from dataclasses import fields
 
 from . import __version__
 from .arch import (ModelConfig, builtin_catalogue, compute_breakdown, find_model,
@@ -63,8 +62,9 @@ def _round_floats(obj):
 
 
 def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    # created through the umask like a plain open(); O_EXCL never reuses a stray file
+    tmp = os.path.join(os.path.dirname(path) or ".", f".tmp-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
@@ -95,31 +95,39 @@ def _timestamp() -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(t))
 
 
-@dataclass
-class RunManifest:
-    command: str
-    seed: int
-    resolved: dict
-    outputs: list[str]
-    version: str
-    timestamp: str
-
-
 def write_manifest(out_dir: str, command: str, seed: int, resolved: dict,
                    outputs: list[str]) -> str:
-    manifest = RunManifest(command=command, seed=seed, resolved=_round_floats(resolved),
-                           outputs=sorted(os.path.basename(p) for p in outputs),
-                           version=__version__, timestamp=_timestamp())
     path = os.path.join(out_dir, f"{command}_manifest.json")
-    write_json(path, manifest.__dict__)
+    write_json(path, {"command": command, "seed": seed, "resolved": resolved,
+                      "outputs": sorted(os.path.basename(p) for p in outputs),
+                      "version": __version__, "timestamp": _timestamp()})
     return path
+
+
+def _emit(args, command: str, resolved: dict, files: dict, written=()) -> list[str]:
+    """Write each of `files` whose extension --format selects, then the manifest,
+    which also lists the `written` paths. A payload is a JSON document or, for
+    a .csv name, a (header, rows) pair."""
+    os.makedirs(args.out or ".", exist_ok=True)
+    outputs = list(written)
+    for name, payload in files.items():
+        if args.format not in (name.rsplit(".", 1)[1], "both"):
+            continue
+        path = os.path.join(args.out, name)
+        if name.endswith(".csv"):
+            write_csv(path, *payload)
+        else:
+            write_json(path, payload)
+        outputs.append(path)
+    outputs.append(write_manifest(args.out, command, args.seed, resolved, outputs))
+    return outputs
 
 
 # --------------------------------------------------------------------------
 # Shared resolution
 
 
-def _get_catalogue(args) -> tuple[list[ModelConfig], str]:
+def _get_catalogue() -> tuple[list[ModelConfig], str]:
     env_path = os.environ.get(CATALOGUE_ENV)
     if env_path:
         try:
@@ -142,13 +150,13 @@ def _load_config_file(path: str) -> ModelConfig:
 
 
 def _resolve_models(args, require_one: bool = False) -> tuple[list[ModelConfig], dict]:
-    catalogue, source = _get_catalogue(args)
+    catalogue, source = _get_catalogue()
     if getattr(args, "all", False):
         return catalogue, {"models": "all", "catalogue": source}
-    if getattr(args, "config", None):
+    if args.config:
         config = _load_config_file(args.config)
         return [config], {"models": [config.name], "config_file": args.config}
-    if getattr(args, "model", None):
+    if args.model:
         try:
             config = find_model(args.model, catalogue)
         except KeyError as exc:
@@ -159,8 +167,9 @@ def _resolve_models(args, require_one: bool = False) -> tuple[list[ModelConfig],
     raise _usage("provide --model NAME, --config FILE, or --all")
 
 
-def _profile_from_args(args) -> tuple[HardwareProfile, dict]:
-    resolved = {"profile": "default"}
+def _pricing_from_args(args, resolved: dict) -> tuple[HardwareProfile, PhotonPolicy]:
+    """Hardware profile and photon policy, recorded in `resolved`."""
+    resolved["profile"] = "default"
     profile = default_profile()
     if args.profile:
         try:
@@ -180,53 +189,64 @@ def _profile_from_args(args) -> tuple[HardwareProfile, dict]:
     if getattr(args, "future", False):
         profile = future_profile(profile)
         resolved["future"] = True
-    return profile, resolved
 
-
-def _policy_from_args(args) -> tuple[PhotonPolicy, dict]:
+    resolved["policy"] = "default"
     if not args.policy:
-        return default_policy(), {"policy": "default"}
+        return profile, default_policy()
     try:
         with open(args.policy, encoding="utf-8") as fh:
             policy = PhotonPolicy.from_json(fh.read())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
         raise CliError("parse", f"policy file {args.policy}: {exc}")
-    except (TypeError, ValueError) as exc:
-        raise CliError("parse", f"policy file {args.policy}: {exc}")
-    return policy, {"policy": args.policy}
+    resolved["policy"] = args.policy
+    return profile, policy
 
 
-def _parse_float_list(text: str, flag: str) -> list[float]:
+def _parse_float_list(text: str, flag: str, valid, rule: str) -> list[float]:
+    """Comma-separated floats, each passing `valid`, which `rule` describes."""
     items = [part.strip() for part in text.split(",") if part.strip()]
     if not items:
         raise _usage(f"{flag} must be a non-empty comma-separated list")
     try:
-        return [float(v) for v in items]
+        values = [float(v) for v in items]
     except ValueError as exc:
         raise _usage(f"{flag}: {exc}")
+    if not all(map(valid, values)):
+        raise _usage(f"{flag} values must be {rule}")
+    return values
 
 
-def _parse_int_list(text: str, flag: str) -> list[int]:
-    return [int(v) for v in _parse_float_list(text, flag)]
+def _is_percent(value: float) -> bool:
+    return 0 <= value < math.inf
 
 
 def _parse_photons(text: str) -> float:
     if text.lower() in ("inf", "none", ""):
         return math.inf
-    value = float(text)
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan  # rejected below like any other non-positive value
     if not value > 0:
         raise _usage(f"--photons must be > 0 or 'inf', got {text}")
     return value
 
 
-def _ensure_out(args) -> str:
-    out = args.out or "."
-    os.makedirs(out, exist_ok=True)
-    return out
-
-
-def _want(args, kind: str) -> bool:
-    return args.format in (kind, "both")
+def _simulation_inputs(args) -> tuple[ModelConfig, dict, tuple, float]:
+    """Model, LUTs and photons per MAC shared by `simulate` and `sweep`."""
+    models, resolved = _resolve_models(args, require_one=True)
+    config = models[0]
+    if config.n * config.d > DESK_SCALE_LIMIT and not args.allow_large:
+        raise CliError(
+            "over_limit",
+            f"n*d = {config.n * config.d} exceeds the desk-scale limit {DESK_SCALE_LIMIT}; "
+            f"simulation would materialize full weights (pass --allow-large to override)")
+    try:
+        luts = tuple(load_lut(path) if path else None
+                     for path in (args.input_lut, args.weight_lut))
+    except (OSError, ValueError) as exc:
+        raise CliError("parse", f"LUT file: {exc}")
+    return config, resolved, luts, _parse_photons(args.photons)
 
 
 # --------------------------------------------------------------------------
@@ -235,50 +255,34 @@ def _want(args, kind: str) -> bool:
 
 def cmd_energy(args) -> list[str]:
     models, resolved = _resolve_models(args)
-    profile, prof_res = _profile_from_args(args)
-    policy, pol_res = _policy_from_args(args)
-    resolved.update(prof_res)
-    resolved.update(pol_res)
+    profile, policy = _pricing_from_args(args, resolved)
     baselines = dict(DIGITAL_BASELINES)
     if args.baseline is not None:
         baselines["custom"] = args.baseline
         resolved["baseline_j_per_mac"] = args.baseline
 
-    out = _ensure_out(args)
     reports = [total_energy(m, profile, policy, baselines) for m in models]
-    outputs = []
-    if _want(args, "json"):
-        path = os.path.join(out, "energy.json")
-        write_json(path, [r.to_json_dict() for r in reports])
-        outputs.append(path)
-    if _want(args, "csv"):
-        path = os.path.join(out, "energy.csv")
-        rows = [row for r in reports for row in r.csv_rows()]
-        write_csv(path, ["model", "layer_class", "category", "joules"], rows)
-        outputs.append(path)
-        summary = os.path.join(out, "energy_summary.csv")
-        header = ["model", "n", "d", "h", "L", "params", "total_macs", "total_j"]
-        header += [f"advantage_{name}" for name in baselines]
-        rows = []
-        for model, report in zip(models, reports):
-            adv = report.advantages()
-            rows.append([model.name, model.n, model.d, model.h, model.L,
-                         model.param_count, report.total_macs, report.total()]
-                        + [adv[name] for name in baselines])
-        write_csv(summary, header, rows)
-        outputs.append(summary)
+    summary = []
     for model, report in zip(models, reports):
         adv = report.advantages()
+        summary.append([model.name, model.n, model.d, model.h, model.L,
+                        model.param_count, report.total_macs, report.total()]
+                       + [adv[name] for name in baselines])
         print(f"{model.name}: total {fmt(report.total())} J, "
               + ", ".join(f"{k} {fmt(v)}x" for k, v in adv.items()))
-    outputs.append(write_manifest(out, "energy", args.seed, resolved, outputs))
-    return outputs
+    header = ["model", "n", "d", "h", "L", "params", "total_macs", "total_j"]
+    return _emit(args, "energy", resolved, {
+        "energy.json": [r.to_json_dict() for r in reports],
+        "energy.csv": (["model", "layer_class", "category", "joules"],
+                       [row for r in reports for row in r.csv_rows()]),
+        "energy_summary.csv": (header + [f"advantage_{name}" for name in baselines],
+                               summary),
+    })
 
 
 def cmd_requirements(args) -> list[str]:
     models, resolved = _resolve_models(args)
     resolved["core_size"] = args.core_size
-    out = _ensure_out(args)
     rows = []
     for model in models:
         req = hardware_requirements(model, args.core_size)
@@ -286,36 +290,21 @@ def cmd_requirements(args) -> list[str]:
                      req.mvm_cores, req.sram_bytes])
         print(f"{model.name}: {req.input_vector_elements} inputs, {req.detectors} detectors, "
               f"{req.mvm_cores} cores, {req.sram_bytes / 1e6:.4g} MB SRAM")
-    outputs = []
     header = ["model", "input_vector_elements", "detectors", "mvm_cores", "sram_bytes"]
-    if _want(args, "csv"):
-        path = os.path.join(out, "requirements.csv")
-        write_csv(path, header, rows)
-        outputs.append(path)
-    if _want(args, "json"):
-        path = os.path.join(out, "requirements.json")
-        write_json(path, [dict(zip(header, row)) for row in rows])
-        outputs.append(path)
-    outputs.append(write_manifest(out, "requirements", args.seed, resolved, outputs))
-    return outputs
+    return _emit(args, "requirements", resolved, {
+        "requirements.csv": (header, rows),
+        "requirements.json": [dict(zip(header, row)) for row in rows],
+    })
 
 
 def cmd_chunking(args) -> list[str]:
     models, resolved = _resolve_models(args)
-    profile, prof_res = _profile_from_args(args)
-    policy, pol_res = _policy_from_args(args)
-    memories = _parse_float_list(args.memory, "--memory")
-    batches = _parse_float_list(args.batch, "--batch")
-    if any(m <= 0 for m in memories):
-        raise _usage("--memory values must be > 0")
-    if any(b < 1 for b in batches):
-        raise _usage("--batch values must be >= 1")
-    resolved.update(prof_res)
-    resolved.update(pol_res)
+    profile, policy = _pricing_from_args(args, resolved)
+    memories = _parse_float_list(args.memory, "--memory", lambda m: m > 0, "> 0")
+    batches = _parse_float_list(args.batch, "--batch", lambda b: b >= 1, ">= 1")
     resolved.update({"memory": memories, "batch": batches,
                      "dram_j_per_bit": args.dram_j_per_bit})
 
-    out = _ensure_out(args)
     a100 = DIGITAL_BASELINES["a100"]
     rows = []
     for model in models:
@@ -330,41 +319,16 @@ def cmd_chunking(args) -> list[str]:
                              onn, gpu, macs * a100 / onn, gpu / onn])
     header = ["model", "memory_weights", "batch_size", "chunks",
               "onn_j", "gpu_chunked_j", "advantage_a100", "advantage_chunked_gpu"]
-    outputs = []
-    if _want(args, "csv"):
-        path = os.path.join(out, "chunking.csv")
-        write_csv(path, header, rows)
-        outputs.append(path)
-    if _want(args, "json"):
-        path = os.path.join(out, "chunking.json")
-        write_json(path, [dict(zip(header, row)) for row in rows])
-        outputs.append(path)
-    outputs.append(write_manifest(out, "chunking", args.seed, resolved, outputs))
-    return outputs
-
-
-def _luts_from_args(args) -> tuple:
-    input_lut = weight_lut = None
-    try:
-        if args.input_lut:
-            input_lut = load_lut(args.input_lut)
-        if args.weight_lut:
-            weight_lut = load_lut(args.weight_lut)
-    except (OSError, ValueError) as exc:
-        raise CliError("parse", f"LUT file: {exc}")
-    return input_lut, weight_lut
+    return _emit(args, "chunking", resolved, {
+        "chunking.csv": (header, rows),
+        "chunking.json": [dict(zip(header, row)) for row in rows],
+    })
 
 
 def cmd_simulate(args) -> list[str]:
-    models, resolved = _resolve_models(args, require_one=True)
-    config = models[0]
-    if config.n * config.d > DESK_SCALE_LIMIT and not args.allow_large:
-        raise CliError(
-            "over_limit",
-            f"n*d = {config.n * config.d} exceeds the desk-scale limit {DESK_SCALE_LIMIT}; "
-            f"simulation would materialize full weights (pass --allow-large to override)")
-    input_lut, weight_lut = _luts_from_args(args)
-    photons = _parse_photons(args.photons)
+    config, resolved, (input_lut, weight_lut), photons = _simulation_inputs(args)
+    if not (_is_percent(args.ff_noise) and _is_percent(args.attn_noise)):
+        raise _usage("--ff-noise and --attn-noise must be finite and >= 0")
     noise = NoiseSpec(systematic_percent_ff=args.ff_noise,
                       systematic_percent_attn=args.attn_noise,
                       photons_per_mac=photons, seed=args.seed)
@@ -379,46 +343,34 @@ def cmd_simulate(args) -> list[str]:
                       OpticalBackend(noise, input_lut=input_lut, weight_lut=weight_lut))
     dev = deviation(optical.final, digital.final)
 
-    out = _ensure_out(args)
-    outputs = []
+    # one trace document in memory at a time: they dominate peak RSS
+    os.makedirs(args.out or ".", exist_ok=True)
+    traces = []
     for name, trace in (("digital", digital), ("optical", optical)):
-        path = os.path.join(out, f"simulate_{name}_trace.json")
+        path = os.path.join(args.out, f"simulate_{name}_trace.json")
         write_json(path, trace_to_json_dict(trace, config, args.seed))
-        outputs.append(path)
-    summary = {
-        "model": config.name, "seed": args.seed,
-        "ff_noise_percent": args.ff_noise, "attn_noise_percent": args.attn_noise,
-        "photons_per_mac": None if math.isinf(photons) else photons,
-        "deviation": dev,
-    }
-    if _want(args, "json"):
-        path = os.path.join(out, "simulate_deviation.json")
-        write_json(path, summary)
-        outputs.append(path)
-    if _want(args, "csv"):
-        path = os.path.join(out, "simulate_deviation.csv")
-        write_csv(path, ["model", "ff_percent", "attn_percent", "seed", "deviation"],
-                  [[config.name, float(args.ff_noise), float(args.attn_noise),
-                    args.seed, dev]])
-        outputs.append(path)
+        traces.append(path)
     print(f"{config.name}: deviation {fmt(dev)}")
-    outputs.append(write_manifest(out, "simulate", args.seed, resolved, outputs))
-    return outputs
+    return _emit(args, "simulate", resolved, {
+        "simulate_deviation.json": {
+            "model": config.name, "seed": args.seed,
+            "ff_noise_percent": args.ff_noise, "attn_noise_percent": args.attn_noise,
+            "photons_per_mac": None if math.isinf(photons) else photons,
+            "deviation": dev,
+        },
+        "simulate_deviation.csv": (
+            ["model", "ff_percent", "attn_percent", "seed", "deviation"],
+            [[config.name, float(args.ff_noise), float(args.attn_noise), args.seed, dev]]),
+    }, written=traces)
 
 
 def cmd_sweep(args) -> list[str]:
-    models, resolved = _resolve_models(args, require_one=True)
-    config = models[0]
-    if config.n * config.d > DESK_SCALE_LIMIT and not args.allow_large:
-        raise CliError(
-            "over_limit",
-            f"n*d = {config.n * config.d} exceeds the desk-scale limit {DESK_SCALE_LIMIT} "
-            f"(pass --allow-large to override)")
-    ff_grid = _parse_float_list(args.ff_grid, "--ff-grid")
-    attn_grid = _parse_float_list(args.attn_grid, "--attn-grid")
-    seeds = _parse_int_list(args.seeds, "--seeds")
-    photons = _parse_photons(args.photons)
-    input_lut, weight_lut = _luts_from_args(args)
+    config, resolved, (input_lut, weight_lut), photons = _simulation_inputs(args)
+    ff_grid = _parse_float_list(args.ff_grid, "--ff-grid", _is_percent, "finite and >= 0")
+    attn_grid = _parse_float_list(args.attn_grid, "--attn-grid", _is_percent, "finite and >= 0")
+    seeds = [int(s) for s in _parse_float_list(args.seeds, "--seeds",
+                                                lambda s: s.is_integer() and s >= 0,
+                                                "non-negative integers")]
     resolved.update({"ff_grid": ff_grid, "attn_grid": attn_grid, "seeds": seeds,
                      "photons": args.photons})
 
@@ -433,41 +385,24 @@ def cmd_sweep(args) -> list[str]:
             for j, attn in enumerate(attn_grid):
                 rows.append([ff, attn, seed, float(surface[i, j])])
 
-    out = _ensure_out(args)
-    outputs = []
-    if _want(args, "csv"):
-        path = os.path.join(out, "sweep.csv")
-        write_csv(path, ["ff_percent", "attn_percent", "seed", "deviation"], rows)
-        outputs.append(path)
-    if _want(args, "json"):
-        path = os.path.join(out, "sweep.json")
-        write_json(path, [{"ff_percent": r[0], "attn_percent": r[1],
-                           "seed": r[2], "deviation": r[3]} for r in rows])
-        outputs.append(path)
     print(f"{config.name}: {len(rows)} sweep cells written")
-    outputs.append(write_manifest(out, "sweep", args.seed, resolved, outputs))
-    return outputs
+    header = ["ff_percent", "attn_percent", "seed", "deviation"]
+    return _emit(args, "sweep", resolved, {
+        "sweep.csv": (header, rows),
+        "sweep.json": [dict(zip(header, row)) for row in rows],
+    })
 
 
 def cmd_catalogue(args) -> list[str]:
-    catalogue, source = _get_catalogue(args)
-    out = _ensure_out(args)
-    outputs = []
+    catalogue, source = _get_catalogue()
     rows = [[c.name, c.n, c.d, c.h, c.L, c.param_count] for c in catalogue]
-    if _want(args, "json"):
-        path = os.path.join(out, "catalogue.json")
-        write_json(path, [{"name": c.name, "n": c.n, "d": c.d, "h": c.h, "L": c.L}
-                          for c in catalogue])
-        outputs.append(path)
-    if _want(args, "csv"):
-        path = os.path.join(out, "catalogue.csv")
-        write_csv(path, ["name", "n", "d", "h", "L", "params"], rows)
-        outputs.append(path)
     for row in rows:
         print(f"{row[0]}: n={row[1]} d={row[2]} h={row[3]} L={row[4]} params={row[5]}")
-    outputs.append(write_manifest(out, "catalogue", args.seed,
-                                  {"catalogue": source}, outputs))
-    return outputs
+    return _emit(args, "catalogue", {"catalogue": source}, {
+        "catalogue.json": [{"name": c.name, "n": c.n, "d": c.d, "h": c.h, "L": c.L}
+                           for c in catalogue],
+        "catalogue.csv": (["name", "n", "d", "h", "L", "params"], rows),
+    })
 
 
 # --------------------------------------------------------------------------
@@ -481,64 +416,58 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"photonsim {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, models=True):
-        p.add_argument("--seed", type=int, default=0, help="RNG seed (u64)")
-        p.add_argument("--out", default=None, help="output directory (default: cwd)")
-        p.add_argument("--profile", default=None, help="hardware profile JSON file")
-        p.add_argument("--policy", default=None, help="photon policy JSON file")
-        p.add_argument("--format", choices=("json", "csv", "both"), default="both")
-        if models:
-            p.add_argument("--model", default=None, help="catalogue model name")
-            p.add_argument("--config", default=None, help="model config JSON file")
+    # flag groups, each declared once and shared through argparse parents
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--seed", type=int, default=0, help="RNG seed (u64)")
+    common.add_argument("--out", default=".", help="output directory (default: cwd)")
+    common.add_argument("--format", choices=("json", "csv", "both"), default="both")
+    models = argparse.ArgumentParser(add_help=False)
+    models.add_argument("--model", default=None, help="catalogue model name")
+    models.add_argument("--config", default=None, help="model config JSON file")
+    costing = argparse.ArgumentParser(add_help=False)
+    costing.add_argument("--all", action="store_true", help="cost every catalogue model")
+    pricing = argparse.ArgumentParser(add_help=False)
+    pricing.add_argument("--profile", default=None, help="hardware profile JSON file")
+    pricing.add_argument("--policy", default=None, help="photon policy JSON file")
+    simulation = argparse.ArgumentParser(add_help=False)
+    simulation.add_argument("--photons", default="inf", help="photons per MAC, or 'inf'")
+    simulation.add_argument("--input-lut", default=None, help="input LUT CSV")
+    simulation.add_argument("--weight-lut", default=None, help="weight LUT CSV")
+    simulation.add_argument("--allow-large", action="store_true",
+                            help="lift the desk-scale limit")
 
-    p = sub.add_parser("energy", help="per-inference energy report and advantage")
-    common(p)
-    p.add_argument("--all", action="store_true", help="sweep the full catalogue")
+    def command(name, handler, parents, help):
+        p = sub.add_parser(name, parents=[common, *parents], help=help)
+        p.set_defaults(handler=handler)
+        return p
+
+    p = command("energy", cmd_energy, [models, costing, pricing],
+                "per-inference energy report and advantage")
     p.add_argument("--future", action="store_true", help="apply the future-electronics profile")
     p.add_argument("--baseline", type=float, default=None,
                    help="extra digital baseline in J/MAC")
-    p.set_defaults(handler=cmd_energy)
 
-    p = sub.add_parser("requirements", help="hardware requirement table")
-    common(p)
-    p.add_argument("--all", action="store_true")
+    p = command("requirements", cmd_requirements, [models, costing],
+                "hardware requirement table")
     p.add_argument("--core-size", type=float, default=1e7,
                    help="weights per MVM core (default 1e7)")
-    p.set_defaults(handler=cmd_requirements)
 
-    p = sub.add_parser("chunking", help="chunked weight-streaming advantage curves")
-    common(p)
-    p.add_argument("--all", action="store_true")
+    p = command("chunking", cmd_chunking, [models, costing, pricing],
+                "chunked weight-streaming advantage curves")
     p.add_argument("--memory", default="1e8", help="comma list of weight-memory capacities")
     p.add_argument("--batch", default="1", help="comma list of batch sizes")
     p.add_argument("--dram-j-per-bit", type=float, default=1e-12)
-    p.set_defaults(handler=cmd_chunking)
 
-    p = sub.add_parser("simulate", help="digital vs optical forward pass")
-    common(p)
+    p = command("simulate", cmd_simulate, [models, simulation], "digital vs optical forward pass")
     p.add_argument("--ff-noise", type=float, default=0.0, help="systematic %% on FF products")
     p.add_argument("--attn-noise", type=float, default=0.0, help="systematic %% on attention products")
-    p.add_argument("--photons", default="inf", help="photons per MAC, or 'inf'")
-    p.add_argument("--input-lut", default=None, help="input LUT CSV")
-    p.add_argument("--weight-lut", default=None, help="weight LUT CSV")
-    p.add_argument("--allow-large", action="store_true", help="lift the desk-scale limit")
-    p.set_defaults(handler=cmd_simulate)
 
-    p = sub.add_parser("sweep", help="noise-tolerance deviation surface")
-    common(p)
+    p = command("sweep", cmd_sweep, [models, simulation], "noise-tolerance deviation surface")
     p.add_argument("--ff-grid", default="0,1,2,5", help="comma list of FF noise percents")
     p.add_argument("--attn-grid", default="0,1,2,5", help="comma list of attention noise percents")
     p.add_argument("--seeds", default="0", help="comma list of seeds")
-    p.add_argument("--photons", default="inf")
-    p.add_argument("--input-lut", default=None)
-    p.add_argument("--weight-lut", default=None)
-    p.add_argument("--allow-large", action="store_true")
-    p.set_defaults(handler=cmd_sweep)
 
-    p = sub.add_parser("catalogue", help="list/export the model catalogue")
-    common(p, models=False)
-    p.set_defaults(handler=cmd_catalogue)
-
+    command("catalogue", cmd_catalogue, [], "list/export the model catalogue")
     return parser
 
 

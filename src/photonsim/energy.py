@@ -13,7 +13,7 @@ import json
 import math
 from dataclasses import dataclass, asdict, replace
 
-from .arch import ModelConfig, ComputeBreakdown, compute_breakdown, PRODUCT_CLASSES
+from .arch import ModelConfig, compute_breakdown, PRODUCT_CLASSES
 
 LAYER_CLASSES = PRODUCT_CLASSES + ("digital_fns",)
 CATEGORIES = ("electrical_load", "electrical_detect", "optical", "maintenance", "digital")
@@ -201,21 +201,15 @@ def _empty_cells() -> dict[str, dict[str, float]]:
     return {c: {cat: 0.0 for cat in CATEGORIES} for c in LAYER_CLASSES}
 
 
-def _validate(config: ModelConfig) -> ComputeBreakdown:
-    return compute_breakdown(config)
-
-
-def electrical_energy(config: ModelConfig, profile: HardwareProfile | None = None,
-                      baselines: dict[str, float] | None = None) -> EnergyReport:
-    """Electrical cells only: load/detect per product class, weight
-    maintenance per MAC, and the digital-function memory traffic."""
-    profile = profile or default_profile()
-    breakdown = _validate(config)
+def _energy_report(config: ModelConfig, profile: HardwareProfile, photons_per_mac: float,
+                   baselines: dict[str, float] | None) -> EnergyReport:
+    breakdown = compute_breakdown(config)
     cells = _empty_cells()
     L = config.L
     for name, counts in breakdown.products.items():
         cells[name]["electrical_load"] = L * counts.loads * profile.load_cost
         cells[name]["electrical_detect"] = L * counts.detects * profile.detect_cost
+        cells[name]["optical"] = L * counts.macs * photons_per_mac * profile.photon_energy
         cells[name]["maintenance"] = L * counts.macs * profile.e_maintain
     cells["digital_fns"]["digital"] = (
         L * breakdown.digital_elements_per_layer * profile.digital_element_cost)
@@ -223,27 +217,20 @@ def electrical_energy(config: ModelConfig, profile: HardwareProfile | None = Non
                         cells=cells, baselines=dict(baselines or DIGITAL_BASELINES))
 
 
-def optical_energy(config: ModelConfig, policy: PhotonPolicy | None = None,
-                   profile: HardwareProfile | None = None) -> float:
-    """Total optical energy: MACs x photons/MAC x photon energy."""
-    profile = profile or default_profile()
-    policy = policy or default_policy()
-    breakdown = _validate(config)
-    return breakdown.total_macs * policy.photons_per_mac(config.d) * profile.photon_energy
+def electrical_energy(config: ModelConfig, profile: HardwareProfile | None = None,
+                      baselines: dict[str, float] | None = None) -> EnergyReport:
+    """Electrical cells only: load/detect per product class, weight
+    maintenance per MAC, and the digital-function memory traffic."""
+    return _energy_report(config, profile or default_profile(), 0.0, baselines)
 
 
 def total_energy(config: ModelConfig, profile: HardwareProfile | None = None,
                  policy: PhotonPolicy | None = None,
                  baselines: dict[str, float] | None = None) -> EnergyReport:
     """Full per-inference report: electrical + optical + maintenance + digital."""
-    profile = profile or default_profile()
     policy = policy or default_policy()
-    report = electrical_energy(config, profile, baselines)
-    breakdown = compute_breakdown(config)
-    ppm = policy.photons_per_mac(config.d)
-    for name, counts in breakdown.products.items():
-        report.cells[name]["optical"] = config.L * counts.macs * ppm * profile.photon_energy
-    return report
+    return _energy_report(config, profile or default_profile(),
+                          policy.photons_per_mac(config.d), baselines)
 
 
 def advantage(config: ModelConfig, profile: HardwareProfile | None = None,
@@ -315,7 +302,7 @@ def chunked_gpu_energy(config: ModelConfig, digital_j_per_mac: float,
                        mem_bits_per_scalar: int = 8) -> float:
     """Digital system split over chunks: per-MAC compute plus activations
     crossing DRAM once per chunk after every layer."""
-    breakdown = _validate(config)
+    breakdown = compute_breakdown(config)
     k = scenario.chunks(12 * config.d * config.d)
     activation_scalars = config.L * config.n * config.d
     return (breakdown.total_macs * digital_j_per_mac

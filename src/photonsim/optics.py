@@ -281,8 +281,6 @@ class FourPassOperands:
     x_pos: np.ndarray
     x_neg: np.ndarray  # |X-|
 
-    SIGNS = (1.0, -1.0, -1.0, 1.0)
-
     def passes(self):
         """Yield (left, right, sign) for the four non-negative products."""
         return (
@@ -333,7 +331,7 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.systematic_percent_ff < 0 or self.systematic_percent_attn < 0:
+        if not (self.systematic_percent_ff >= 0 and self.systematic_percent_attn >= 0):
             raise ValueError("systematic percentages must be >= 0")
         if not self.photons_per_mac > 0:
             raise ValueError(f"photons_per_mac must be > 0 or inf, got {self.photons_per_mac}")

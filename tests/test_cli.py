@@ -2,13 +2,15 @@
 import csv
 import json
 import math
+import os
+import stat
 
 import pytest
 
 from photonsim import (ChunkingScenario, DIGITAL_BASELINES, ModelConfig, advantage,
                        builtin_catalogue, chunked_onn_energy, compute_breakdown,
                        find_model, future_profile, save_catalogue, total_energy)
-from photonsim.cli import main
+from photonsim.cli import main, write_json
 
 TINY = {"name": "tiny", "n": 8, "d": 16, "h": 2, "L": 2}
 
@@ -314,6 +316,87 @@ def test_missing_config_file(tmp_path, capsys):
     assert main(["simulate", "--config", str(tmp_path / "absent.json"),
                  "--out", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err.startswith("error:io:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--photons", "abc"],
+    ["simulate", "--ff-noise", "-1"],
+    ["simulate", "--ff-noise", "nan"],
+    ["simulate", "--attn-noise", "inf"],
+    ["sweep", "--seeds", "1.5,2"],
+    ["sweep", "--seeds", "-1"],
+    ["sweep", "--attn-grid", "0,nan"],
+    ["chunking", "--memory", "nan"],
+    ["chunking", "--batch", "nan"],
+])
+def test_bad_numeric_inputs_are_usage_errors(tmp_path, capsys, argv):
+    out = tmp_path / "o"
+    assert main(argv + ["--config", write_tiny_config(tmp_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:usage:")
+    assert err.count("\n") == 1  # single line
+    assert not (out / f"{argv[0]}_manifest.json").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep", "requirements", "catalogue"])
+@pytest.mark.parametrize("flag", ["--profile", "--policy"])
+def test_pricing_flags_only_on_energy_and_chunking(tmp_path, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([command, flag, str(tmp_path / "unused.json"), "--out", str(tmp_path)])
+    assert exc.value.code == 2
+
+
+# --------------------------------------------------------------------------
+# emitted files
+
+
+DATA_FILES = {
+    "energy": {"json": ["energy.json"], "csv": ["energy.csv", "energy_summary.csv"]},
+    "requirements": {"json": ["requirements.json"], "csv": ["requirements.csv"]},
+    "chunking": {"json": ["chunking.json"], "csv": ["chunking.csv"]},
+    "simulate": {"json": ["simulate_deviation.json"], "csv": ["simulate_deviation.csv"]},
+    "sweep": {"json": ["sweep.json"], "csv": ["sweep.csv"]},
+    "catalogue": {"json": ["catalogue.json"], "csv": ["catalogue.csv"]},
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "both"])
+@pytest.mark.parametrize("command", sorted(DATA_FILES))
+def test_format_selects_the_manifest_outputs(tmp_path, command, fmt):
+    out = tmp_path / "o"
+    argv = [command, "--format", fmt, "--out", str(out)]
+    if command != "catalogue":
+        argv += ["--config", write_tiny_config(tmp_path)]
+    if command == "sweep":
+        argv += ["--ff-grid", "0,1", "--attn-grid", "0"]
+    assert main(argv) == 0
+    kinds = ["json", "csv"] if fmt == "both" else [fmt]
+    expected = [name for kind in kinds for name in DATA_FILES[command][kind]]
+    if command == "simulate":  # traces are written whatever the format
+        expected += ["simulate_digital_trace.json", "simulate_optical_trace.json"]
+    manifest = read_json(out / f"{command}_manifest.json")
+    assert manifest["outputs"] == sorted(expected)
+    # nothing else is left behind, temporary files included
+    assert sorted(os.listdir(out)) == sorted(expected + [f"{command}_manifest.json"])
+
+
+def test_artifacts_honour_umask(tmp_path):
+    umask = 0o027
+    old = os.umask(umask)
+    try:
+        assert main(["catalogue", "--out", str(tmp_path / "c")]) == 0
+    finally:
+        os.umask(old)
+    for path in (tmp_path / "c").iterdir():
+        assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask, path.name
+
+
+def test_failed_write_leaves_no_temporary_file(tmp_path):
+    target = tmp_path / "taken"
+    target.mkdir()  # a directory cannot be replaced by a file
+    with pytest.raises(OSError):
+        write_json(str(target), {"a": 1})
+    assert os.listdir(tmp_path) == ["taken"]
 
 
 # --------------------------------------------------------------------------

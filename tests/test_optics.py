@@ -349,6 +349,8 @@ def test_noise_spec_defaults_and_json():
     with pytest.raises(ValueError):
         NoiseSpec(systematic_percent_ff=-1.0)
     with pytest.raises(ValueError):
+        NoiseSpec(systematic_percent_attn=math.nan)
+    with pytest.raises(ValueError):
         NoiseSpec(photons_per_mac=0.0)
 
 
