@@ -220,6 +220,18 @@ def _is_percent(value: float) -> bool:
     return 0 <= value < math.inf
 
 
+def _parse_seed(text: str) -> int:
+    """--seed's type. argparse reports only its own exception types, so the
+    CliError raised here reaches main() like any other usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1  # rejected below like any other negative value
+    if value < 0:
+        raise _usage(f"--seed must be a non-negative integer, got {text}")
+    return value
+
+
 def _parse_photons(text: str) -> float:
     if text.lower() in ("inf", "none", ""):
         return math.inf
@@ -372,15 +384,15 @@ def cmd_sweep(args) -> list[str]:
                                                 lambda s: s.is_integer() and s >= 0,
                                                 "non-negative integers")]
     resolved.update({"ff_grid": ff_grid, "attn_grid": attn_grid, "seeds": seeds,
-                     "photons": args.photons})
+                     "photons": args.photons, "input_lut": args.input_lut,
+                     "weight_lut": args.weight_lut})
 
     weights = init_weights(config, args.seed)
     x = make_input(config, args.seed)
+    surfaces = noise_sweep(config, weights, x, ff_grid, attn_grid, photons=photons,
+                           seed=seeds, input_lut=input_lut, weight_lut=weight_lut)
     rows = []
-    for seed in seeds:
-        surface = noise_sweep(config, weights, x, ff_grid, attn_grid,
-                              photons=photons, seed=seed,
-                              input_lut=input_lut, weight_lut=weight_lut)
+    for seed, surface in zip(seeds, surfaces):
         for i, ff in enumerate(ff_grid):
             for j, attn in enumerate(attn_grid):
                 rows.append([ff, attn, seed, float(surface[i, j])])
@@ -410,26 +422,30 @@ def cmd_catalogue(args) -> list[str]:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # no prefix matching: `simulate --all` must not mean --allow-large
     parser = argparse.ArgumentParser(
-        prog="photonsim",
+        prog="photonsim", allow_abbrev=False,
         description="Transformer inference simulator and cost model for optical accelerators")
     parser.add_argument("--version", action="version", version=f"photonsim {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     # flag groups, each declared once and shared through argparse parents
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="RNG seed (u64)")
+    def group():
+        return argparse.ArgumentParser(add_help=False, allow_abbrev=False)
+
+    common = group()
+    common.add_argument("--seed", type=_parse_seed, default=0, help="RNG seed (u64)")
     common.add_argument("--out", default=".", help="output directory (default: cwd)")
     common.add_argument("--format", choices=("json", "csv", "both"), default="both")
-    models = argparse.ArgumentParser(add_help=False)
+    models = group()
     models.add_argument("--model", default=None, help="catalogue model name")
     models.add_argument("--config", default=None, help="model config JSON file")
-    costing = argparse.ArgumentParser(add_help=False)
+    costing = group()
     costing.add_argument("--all", action="store_true", help="cost every catalogue model")
-    pricing = argparse.ArgumentParser(add_help=False)
+    pricing = group()
     pricing.add_argument("--profile", default=None, help="hardware profile JSON file")
     pricing.add_argument("--policy", default=None, help="photon policy JSON file")
-    simulation = argparse.ArgumentParser(add_help=False)
+    simulation = group()
     simulation.add_argument("--photons", default="inf", help="photons per MAC, or 'inf'")
     simulation.add_argument("--input-lut", default=None, help="input LUT CSV")
     simulation.add_argument("--weight-lut", default=None, help="weight LUT CSV")
@@ -437,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="lift the desk-scale limit")
 
     def command(name, handler, parents, help):
-        p = sub.add_parser(name, parents=[common, *parents], help=help)
+        p = sub.add_parser(name, parents=[common, *parents], help=help, allow_abbrev=False)
         p.set_defaults(handler=handler)
         return p
 
@@ -472,9 +488,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         args.handler(args)
     except CliError as exc:
         print(f"error:{exc.err_class}: {exc}", file=sys.stderr)

@@ -183,12 +183,22 @@ class EmaState:
 
 def _snap_deterministic(x: np.ndarray, levels: np.ndarray) -> np.ndarray:
     """Nearest level; exact ties go to the even level index."""
-    hi_idx = np.clip(np.searchsorted(levels, x, side="left"), 1, levels.size - 1)
-    lo_idx = hi_idx - 1
-    d_lo = x - levels[lo_idx]
-    d_hi = levels[hi_idx] - x
-    pick_lo = (d_lo < d_hi) | ((d_lo == d_hi) & (lo_idx % 2 == 0))
-    return np.where(pick_lo, levels[lo_idx], levels[hi_idx])
+    if np.ndim(x) == 0:  # the in-place steps below need an array
+        return _snap_deterministic(np.reshape(x, 1), levels).reshape(())
+    # few temporaries: this runs on every element of every LUT operand
+    hi_idx = np.searchsorted(levels, x, side="left")
+    np.clip(hi_idx, 1, levels.size - 1, out=hi_idx)
+    hi = levels[hi_idx]
+    lo = levels[hi_idx - 1]
+    d_lo = x - lo
+    d_hi = hi - x
+    pick_lo = d_lo < d_hi
+    tie = np.equal(d_lo, d_hi)
+    hi_idx &= 1  # an odd hi index means an even lo index
+    np.logical_and(tie, hi_idx, out=tie)
+    pick_lo |= tie
+    np.copyto(hi, lo, where=pick_lo)
+    return hi
 
 
 def _snap_stochastic(x: np.ndarray, levels: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -251,7 +261,10 @@ def quantize(values, spec: QuantizerSpec, lut: LookupTable | None = None,
     scale = _clip_scale(magnitudes, spec.clip_percentile)
     if scale == 0.0:
         return np.zeros_like(values)
-    normalized = np.minimum(magnitudes / scale, 1.0)
+    if values.ndim == 0:  # the in-place steps below need an array
+        return quantize(values.reshape(1), spec, lut, rng=rng)[0]
+    normalized = np.divide(magnitudes, scale, out=magnitudes)
+    np.minimum(normalized, 1.0, out=normalized)
 
     if spec.mode == "lut":
         if lut is None:
@@ -264,7 +277,12 @@ def quantize(values, spec: QuantizerSpec, lut: LookupTable | None = None,
         levels = np.linspace(0.0, 1.0, n_levels)
 
     snapped = _snap(normalized, levels, spec.rounding, rng)
-    return np.sign(values) * snapped * scale
+    del normalized, magnitudes
+    # out of place: numpy picks the layout from both operands, and the bits of
+    # the matmuls downstream can depend on that layout
+    out = np.sign(values) * snapped
+    out *= scale
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -389,6 +407,11 @@ def apply_systematic_noise(outputs, percent: float, seed=None) -> np.ndarray:
 _LUT_QUANTIZER = QuantizerSpec(mode="lut", rounding="deterministic")
 
 
+def lut_snap(values, lut: LookupTable) -> np.ndarray:
+    """Deterministic LUT quantization, as `optical_matmul` applies to its operands."""
+    return quantize(values, _LUT_QUANTIZER, lut=lut)
+
+
 def optical_matmul(w, x, noise: NoiseSpec | None = None,
                    input_lut: LookupTable | None = None,
                    weight_lut: LookupTable | None = None,
@@ -420,9 +443,9 @@ def optical_matmul(w, x, noise: NoiseSpec | None = None,
     rng = _as_rng(seed if seed is not None else noise.seed)
     w_side_lut = input_lut if kind == "attn" else weight_lut
     if w_side_lut is not None:
-        w = quantize(w, _LUT_QUANTIZER, lut=w_side_lut)
+        w = lut_snap(w, w_side_lut)
     if input_lut is not None:
-        x = quantize(x, _LUT_QUANTIZER, lut=input_lut)
+        x = lut_snap(x, input_lut)
 
     if math.isinf(noise.photons_per_mac):
         # no shot noise: the four passes recombine to the plain product, so

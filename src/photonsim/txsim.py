@@ -10,12 +10,13 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .arch import ModelConfig
-from .optics import LookupTable, NoiseSpec, derive_rng, derive_seed, optical_matmul
+from .optics import (LookupTable, NoiseSpec, derive_rng, derive_seed, lut_snap,
+                     optical_matmul)
 
 LN_EPS = 1e-5
 
@@ -61,6 +62,21 @@ def init_weights(config: ModelConfig, seed: int = 0) -> TransformerWeights:
     return TransformerWeights(config=config, seed=seed, layers=layers)
 
 
+def snap_weights(weights: TransformerWeights, lut: LookupTable) -> TransformerWeights:
+    """The weights as programmed into the modulators: each projection matrix
+    snapped through `lut` once, for passes through an `OpticalBackend` built
+    with `weights_snapped=True`."""
+    def snap(w):
+        # snapped in optical_matmul's weights-left orientation and transposed
+        # back, so that the backend's transpose hands it that very array
+        return lut_snap(w.T, lut).T
+
+    return replace(weights, layers=[
+        replace(layer, qkv=snap(layer.qkv), out_proj=snap(layer.out_proj),
+                ff1=snap(layer.ff1), ff2=snap(layer.ff2))
+        for layer in weights.layers])
+
+
 @dataclass
 class ForwardTrace:
     post_attention: list[np.ndarray]  # per layer, after the attention residual
@@ -92,14 +108,20 @@ class OpticalBackend:
 
     Per-product RNG streams derive from (seed, op-counter), so traces are
     reproducible regardless of scheduling or backend reuse.
+
+    With weights_snapped, the weight matrices handed to `matmul` have been
+    through `weight_lut` already (`snap_weights`), so passes that share them
+    snap them once, as hardware with resident weights programs them once.
     """
 
     def __init__(self, noise: NoiseSpec, input_lut: LookupTable | None = None,
-                 weight_lut: LookupTable | None = None, seed: int | None = None):
+                 weight_lut: LookupTable | None = None, seed: int | None = None,
+                 weights_snapped: bool = False):
         self.noise = noise
         self.input_lut = input_lut
         self.weight_lut = weight_lut
         self.seed = noise.seed if seed is None else seed
+        self.weights_snapped = weights_snapped
 
     def _noiseless(self) -> bool:
         return (math.isinf(self.noise.photons_per_mac)
@@ -110,9 +132,11 @@ class OpticalBackend:
     def matmul(self, a, b, kind: str = "ff", op: int = 0) -> np.ndarray:
         if self._noiseless():
             return a @ b
+        # weight_lut still counts in _noiseless(): snapped weights must take
+        # the same path as weights snapped here
         out = optical_matmul(
-            np.asarray(b).T, np.asarray(a).T, self.noise,
-            input_lut=self.input_lut, weight_lut=self.weight_lut,
+            np.asarray(b).T, np.asarray(a).T, self.noise, input_lut=self.input_lut,
+            weight_lut=None if self.weights_snapped else self.weight_lut,
             seed=derive_rng(self.seed, op), kind=kind)
         return out.T
 
@@ -178,27 +202,35 @@ def deviation(noisy: np.ndarray, clean: np.ndarray) -> float:
 
 
 def noise_sweep(config: ModelConfig, weights: TransformerWeights, x,
-                ff_grid, attn_grid, photons: float = math.inf, seed: int = 0,
+                ff_grid, attn_grid, photons: float = math.inf, seed: int | list[int] = 0,
                 input_lut: LookupTable | None = None,
                 weight_lut: LookupTable | None = None) -> np.ndarray:
     """Deviation of the noisy forward vs the digital baseline, per grid cell.
 
     Returns a matrix indexed [ff][attn]; each cell uses an RNG stream
     derived from (seed, ff index, attn index), so cells are independent.
+    Given a sequence of seeds, returns one such matrix per seed, indexed
+    [seed][ff][attn]. Every cell of every seed shares one digital reference
+    and one snap of the weights through `weight_lut`.
     """
+    seeds = list(seed) if np.ndim(seed) else [seed]
     ff_grid = list(ff_grid)
     attn_grid = list(attn_grid)
     if not ff_grid or not attn_grid:
         raise ValueError("sweep grids must be non-empty")
     clean = forward(config, weights, x, DigitalBackend()).final
-    surface = np.zeros((len(ff_grid), len(attn_grid)))
-    for i, ff in enumerate(ff_grid):
-        for j, attn in enumerate(attn_grid):
-            noise = NoiseSpec(systematic_percent_ff=ff, systematic_percent_attn=attn,
-                              photons_per_mac=photons, seed=derive_seed(seed, i, j))
-            backend = OpticalBackend(noise, input_lut=input_lut, weight_lut=weight_lut)
-            surface[i, j] = deviation(forward(config, weights, x, backend).final, clean)
-    return surface
+    if weight_lut is not None:
+        weights = snap_weights(weights, weight_lut)
+    surfaces = np.zeros((len(seeds), len(ff_grid), len(attn_grid)))
+    for s, cells_seed in enumerate(seeds):
+        for i, ff in enumerate(ff_grid):
+            for j, attn in enumerate(attn_grid):
+                noise = NoiseSpec(systematic_percent_ff=ff, systematic_percent_attn=attn,
+                                  photons_per_mac=photons, seed=derive_seed(cells_seed, i, j))
+                backend = OpticalBackend(noise, input_lut=input_lut, weight_lut=weight_lut,
+                                         weights_snapped=True)
+                surfaces[s, i, j] = deviation(forward(config, weights, x, backend).final, clean)
+    return surfaces if np.ndim(seed) else surfaces[0]
 
 
 def trace_to_json_dict(trace: ForwardTrace, config: ModelConfig, seed: int) -> dict:

@@ -5,12 +5,15 @@ import math
 import os
 import stat
 
+import numpy as np
 import pytest
 
+import photonsim.optics
 from photonsim import (ChunkingScenario, DIGITAL_BASELINES, ModelConfig, advantage,
                        builtin_catalogue, chunked_onn_energy, compute_breakdown,
-                       find_model, future_profile, save_catalogue, total_energy)
-from photonsim.cli import main, write_json
+                       find_model, future_profile, init_weights, lut_synthesize,
+                       save_catalogue, save_lut, total_energy)
+from photonsim.cli import build_parser, main, write_json
 
 TINY = {"name": "tiny", "n": 8, "d": 16, "h": 2, "L": 2}
 
@@ -243,6 +246,42 @@ def test_sweep_grid(tmp_path):
     assert all(v > 0 for v in noisy)
 
 
+def test_sweep_manifest_records_luts(tmp_path):
+    lut_path = tmp_path / "lut.csv"
+    save_lut(lut_path, lut_synthesize(16, 32))
+    config = write_tiny_config(tmp_path)
+    base = ["sweep", "--config", config, "--ff-grid", "0", "--attn-grid", "1"]
+    assert main(base + ["--weight-lut", str(lut_path), "--out", str(tmp_path / "w")]) == 0
+    resolved = read_json(tmp_path / "w" / "sweep_manifest.json")["resolved"]
+    assert (resolved["input_lut"], resolved["weight_lut"]) == (None, str(lut_path))
+    assert main(base + ["--input-lut", str(lut_path), "--out", str(tmp_path / "i")]) == 0
+    resolved = read_json(tmp_path / "i" / "sweep_manifest.json")["resolved"]
+    assert (resolved["input_lut"], resolved["weight_lut"]) == (str(lut_path), None)
+
+
+def test_sweep_snaps_each_weight_matrix_once(tmp_path, monkeypatch):
+    seen = []
+    original = photonsim.optics.quantize
+
+    def quantize(values, *args, **kwargs):
+        seen.append(np.array(values))
+        return original(values, *args, **kwargs)
+
+    monkeypatch.setattr(photonsim.optics, "quantize", quantize)
+    lut_path = tmp_path / "lut.csv"
+    save_lut(lut_path, lut_synthesize(16, 32))
+    assert main(["sweep", "--config", write_tiny_config(tmp_path), "--ff-grid", "0,1",
+                 "--attn-grid", "0,1", "--seeds", "0,1,2", "--weight-lut", str(lut_path),
+                 "--out", str(tmp_path / "w")]) == 0
+    # 12 optical passes, and each matrix went to the modulators once
+    weights = init_weights(ModelConfig(**TINY), 0)
+    programmed = [w.T for layer in weights.layers
+                  for w in (layer.qkv, layer.out_proj, layer.ff1, layer.ff2)]
+    assert len(seen) == len(programmed)
+    for got, want in zip(seen, programmed):
+        assert np.array_equal(got, want)
+
+
 def test_sweep_rejects_empty_grid(tmp_path, capsys):
     config = write_tiny_config(tmp_path)
     assert main(["sweep", "--config", config, "--ff-grid", ",",
@@ -328,6 +367,9 @@ def test_missing_config_file(tmp_path, capsys):
     ["sweep", "--attn-grid", "0,nan"],
     ["chunking", "--memory", "nan"],
     ["chunking", "--batch", "nan"],
+    ["simulate", "--seed", "-1"],
+    ["sweep", "--seed", "-1"],
+    ["energy", "--seed", "2.5"],
 ])
 def test_bad_numeric_inputs_are_usage_errors(tmp_path, capsys, argv):
     out = tmp_path / "o"
@@ -336,6 +378,19 @@ def test_bad_numeric_inputs_are_usage_errors(tmp_path, capsys, argv):
     assert err.startswith("error:usage:")
     assert err.count("\n") == 1  # single line
     assert not (out / f"{argv[0]}_manifest.json").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_flag_prefixes_are_rejected(tmp_path, command):
+    # `--all` must not be taken for --allow-large, which lifts the desk-scale limit
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args([command, "--model", "MT-NLG-530B", "--all"])
+    assert exc.value.code == 2
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", write_tiny_config(tmp_path), "--all", "--out", str(out)])
+    assert exc.value.code == 2
+    assert not (out / f"{command}_manifest.json").exists()
 
 
 @pytest.mark.parametrize("command", ["simulate", "sweep", "requirements", "catalogue"])

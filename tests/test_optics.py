@@ -8,6 +8,7 @@ from photonsim import (EmaState, LookupTable, NoiseSpec, QuantizerSpec, apply_sh
                        apply_systematic_noise, derive_rng, derive_seed, empirical_snr,
                        four_pass_decompose, load_lut, lut_synthesize, optical_matmul,
                        quantize, recombine, save_lut)
+from photonsim.optics import _snap_deterministic
 
 
 # --------------------------------------------------------------------------
@@ -147,6 +148,43 @@ def test_quantize_tie_half_even():
     # one magnitude bit: levels {0, 1}; 0.5 ties and rounds to even index 0
     q = quantize(np.array([0.5, 1.0]), QuantizerSpec(bits=1))
     assert q[0] == 0.0 and q[1] == 1.0
+
+
+def _snap_reference(x, levels):
+    """The nearest-level rule written plainly: ties to the even level index."""
+    hi_idx = np.clip(np.searchsorted(levels, x, side="left"), 1, levels.size - 1)
+    lo_idx = hi_idx - 1
+    d_lo = x - levels[lo_idx]
+    d_hi = levels[hi_idx] - x
+    pick_lo = (d_lo < d_hi) | ((d_lo == d_hi) & (lo_idx % 2 == 0))
+    return np.where(pick_lo, levels[lo_idx], levels[hi_idx])
+
+
+@pytest.mark.parametrize("levels", [
+    np.linspace(0.0, 1.0, 9),
+    lut_synthesize(128, 256, floor=0.004).unique_levels,
+    np.sort(np.append(derive_rng(8).uniform(0.0, 1.0, 40), 1.0)),
+    np.array([1.0]),
+], ids=["uniform", "synthesized", "random", "single"])
+def test_snap_deterministic_matches_reference(levels):
+    rng = derive_rng(9)
+    midpoints = (levels[:-1] + levels[1:]) / 2  # exact ties where representable
+    cases = [rng.uniform(0.0, 1.0, 5000), midpoints, levels,
+             rng.uniform(-2.0, 3.0, (40, 60)), rng.uniform(-2.0, 3.0, (60, 40)).T,
+             np.array([-np.inf, -1.0, -0.0, 1.5, np.inf, np.nan])]
+    for x in cases:
+        want = _snap_reference(x, levels)
+        got = _snap_deterministic(x, levels)
+        assert got.tobytes() == want.tobytes() and got.shape == want.shape
+    assert _snap_deterministic(np.float64(0.3), levels) == _snap_reference(0.3, levels)
+
+
+def test_quantize_scalar_input():
+    lut = lut_synthesize(8, 8)
+    assert quantize(0.0, QuantizerSpec(mode="lut"), lut=lut) == 0.0
+    assert quantize(-0.3, QuantizerSpec(mode="lut"), lut=lut) == -0.3  # its own scale
+    state = EmaState(lo=0.0, hi=1.0)
+    assert quantize(0.4, QuantizerSpec(mode="ema", bits=1), state=state) == state.lo
 
 
 def test_quantize_stochastic_unbiased():

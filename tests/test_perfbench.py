@@ -1,0 +1,28 @@
+"""Smoke test of the benchmark harness: one traced round of the LUT sweep.
+
+No timing is asserted; the run must pass its own output checks and its
+per-class cross-check, and the weight snap count must match the resident
+weights: 12 d^2 elements per layer, once per sweep.
+"""
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def test_sweep_weight_lut_traced_round():
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "sweep_weight_lut",
+         "--seed", "0", "--seconds", "0", "--trace", "1"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert "CROSS-CHECK FAILED" not in proc.stderr
+    assert "not found" not in proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True, proc.stderr
+    d, layers = 128, 1  # SWEEP_SHAPE in perfbench/workloads.py
+    assert result["metrics"]["optics.quantized_elems"]["value"] == 12 * d * d * layers

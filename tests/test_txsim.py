@@ -258,6 +258,34 @@ def test_noise_sweep_deterministic():
     assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("photons", [math.inf, 1000.0])
+@pytest.mark.parametrize("with_input_lut", [False, True])
+def test_lut_sweep_equals_fresh_passes(photons, with_input_lut):
+    # the sweep snaps the weights once; every cell must still match a pass
+    # that snaps them itself, bit for bit, the noiseless cell (0, 0) included
+    cfg = ModelConfig("t", n=8, d=16, h=2, L=2)
+    wts = init_weights(cfg, 3)
+    x = make_input(cfg, 3)
+    weight_lut = lut_synthesize(16, 32, floor=0.01)
+    input_lut = lut_synthesize(8, 16) if with_input_lut else None
+    ff_grid, attn_grid, seeds = [0.0, 1.0], [0.0, 2.0], [4, 9]
+    surfaces = noise_sweep(cfg, wts, x, ff_grid, attn_grid, photons=photons, seed=seeds,
+                           input_lut=input_lut, weight_lut=weight_lut)
+    assert surfaces.shape == (2, 2, 2)
+    clean = forward(cfg, wts, x, DigitalBackend()).final
+    for s, seed in enumerate(seeds):
+        for i, ff in enumerate(ff_grid):
+            for j, attn in enumerate(attn_grid):
+                noise = NoiseSpec(systematic_percent_ff=ff, systematic_percent_attn=attn,
+                                  photons_per_mac=photons, seed=derive_seed(seed, i, j))
+                backend = OpticalBackend(noise, input_lut=input_lut, weight_lut=weight_lut)
+                fresh = deviation(forward(cfg, wts, x, backend).final, clean)
+                assert surfaces[s, i, j] == fresh, (seed, ff, attn)
+        single = noise_sweep(cfg, wts, x, ff_grid, attn_grid, photons=photons, seed=seed,
+                             input_lut=input_lut, weight_lut=weight_lut)
+        assert np.array_equal(single, surfaces[s])
+
+
 def test_noise_sweep_ff_trend_monotone():
     # deviation grows with the ff noise percent; average over 8 seeds and
     # allow at most one inversion from sampling jitter
