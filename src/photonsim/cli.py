@@ -10,12 +10,16 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import os
 import sys
 import time
 from dataclasses import fields
+from json.encoder import encode_basestring_ascii
+
+import numpy as np
 
 from . import __version__
 from .arch import (ModelConfig, builtin_catalogue, compute_breakdown, find_model,
@@ -51,14 +55,72 @@ def fmt(x: float) -> str:
     return f"{x:.9g}"
 
 
-def _round_floats(obj):
+_INDENT = "  "
+
+
+def _block(items: list[str], depth: int, brackets: str) -> str:
+    """A JSON array or object at nesting `depth` holding the encoded `items`."""
+    pad = "\n" + _INDENT * (depth + 1)
+    return brackets[0] + pad + ("," + pad).join(items) + "\n" + _INDENT * depth + brackets[1]
+
+
+def _float_rows(rows: list, depth: int) -> list[str] | None:
+    """JSON texts of the rows of a matrix of Python floats, or None if `rows`
+    is not a list of equal-length lists that hold only Python floats.
+
+    "%.9g" prints what repr(float(fmt(v))) prints, because 9 significant
+    digits survive the round trip through a normal double. It prints
+    another layout for an integer value (no ".", or "-0") and for exponents
+    9 to 15, and fewer digits may survive a subnormal. A row holding a value
+    within 1e-8 |v| of an integer (every |v| >= 5e7 is), a subnormal or a
+    non-finite value goes float by float through _encode."""
+    width = len(rows[0]) if type(rows[0]) is list else 0
+    if not width or any(type(row) is not list or len(row) != width for row in rows):
+        return None
+    if set(map(type, itertools.chain.from_iterable(rows))) != {float}:
+        return None
+    a = np.abs(np.array(rows))
+    with np.errstate(invalid="ignore"):  # inf - inf; nan and inf fail the test
+        plain = ((a >= sys.float_info.min) & (np.abs(a - np.rint(a)) > 1e-8 * a)).all(axis=1)
+    template = _block(["%.9g"] * width, depth, "[]")  # one % call per row
+    return [template % tuple(row) if ok else _encode(row, depth)
+            for row, ok in zip(rows, plain.tolist())]
+
+
+def _encode(obj, depth: int = 0) -> str:
+    """json.dumps(obj, indent=2), with floats at 9 significant digits and
+    non-finite floats as strings. Dict keys must be strings."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
     if isinstance(obj, float):
-        return float(fmt(obj)) if math.isfinite(obj) else str(obj)
-    if isinstance(obj, dict):
-        return {k: _round_floats(v) for k, v in obj.items()}
+        if not math.isfinite(obj):
+            return encode_basestring_ascii(str(obj))  # JSON has no literal for nan and inf
+        return repr(float(fmt(obj)))
     if isinstance(obj, (list, tuple)):
-        return [_round_floats(v) for v in obj]
-    return obj
+        if not obj:
+            return "[]"
+        items = _float_rows(obj, depth + 1) if type(obj) is list else None
+        if items is None:
+            items = [_encode(v, depth + 1) for v in obj]
+        return _block(items, depth, "[]")
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = []
+        for key, value in obj.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            items.append(encode_basestring_ascii(key) + ": " + _encode(value, depth + 1))
+        return _block(items, depth, "{}")
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -76,7 +138,7 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def write_json(path: str, obj) -> None:
-    _atomic_write(path, json.dumps(_round_floats(obj), indent=2) + "\n")
+    _atomic_write(path, _encode(obj) + "\n")
 
 
 def write_csv(path: str, header: list[str], rows) -> None:
@@ -494,6 +556,10 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error:{exc.err_class}: {exc}", file=sys.stderr)
         return exc.code
+    except MemoryError as exc:  # e.g. the weights of a model run with --allow-large
+        print(f"error:over_limit: out of memory: {str(exc) or 'allocation failed'}",
+              file=sys.stderr)
+        return 1
     except (ValueError, KeyError, OSError) as exc:
         print(f"error:internal: {exc}", file=sys.stderr)
         return 1

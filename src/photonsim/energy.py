@@ -47,13 +47,13 @@ class HardwareProfile:
     def __post_init__(self) -> None:
         for name in ("e_read_offchip", "e_read_sram", "e_write", "e_dac", "e_mod",
                      "e_amp", "e_adc", "e_maintain", "photon_energy"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+            if not 0 <= getattr(self, name) < math.inf:  # NaN fails every comparison
+                raise ValueError(f"{name} must be finite and >= 0")
         for name in ("input_bits", "weight_bits", "output_bits", "mem_bits_per_scalar"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if self.clock <= 0:
-            raise ValueError("clock must be > 0")
+            if not 1 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 1")
+        if not 0 < self.clock < math.inf:
+            raise ValueError("clock must be finite and > 0")
 
     @property
     def load_cost(self) -> float:

@@ -106,6 +106,8 @@ def load_lut(path: str | os.PathLike) -> LookupTable:
         if header is None or [c.strip() for c in header[:2]] != ["level_index", "value"]:
             raise ValueError(f"{path}: expected header 'level_index,value'")
         for i, row in enumerate(reader):
+            if len(row) < 2:
+                raise ValueError(f"{path}: row {i} needs 'level_index,value', got {row}")
             if int(row[0]) != i:
                 raise ValueError(f"{path}: level_index must ascend from 0, got {row[0]} at row {i}")
             values.append(float(row[1]))
@@ -397,8 +399,10 @@ def apply_systematic_noise(outputs, percent: float, seed=None) -> np.ndarray:
     outputs = np.asarray(outputs, dtype=float)
     if percent < 0:
         raise ValueError(f"percent must be >= 0, got {percent}")
+    if percent == 0:
+        return outputs.copy()
     sigma = (percent / 100.0) * np.abs(outputs).mean() if outputs.size else 0.0
-    if percent == 0 or sigma == 0.0:
+    if sigma == 0.0:
         return outputs.copy()
     rng = _as_rng(seed)
     return outputs + rng.normal(0.0, sigma, outputs.shape)

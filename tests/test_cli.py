@@ -7,12 +7,14 @@ import stat
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import photonsim.optics
 from photonsim import (ChunkingScenario, DIGITAL_BASELINES, ModelConfig, advantage,
                        builtin_catalogue, chunked_onn_energy, compute_breakdown,
                        find_model, future_profile, init_weights, lut_synthesize,
                        save_catalogue, save_lut, total_energy)
+import photonsim.cli
 from photonsim.cli import build_parser, main, write_json
 
 TINY = {"name": "tiny", "n": 8, "d": 16, "h": 2, "L": 2}
@@ -209,6 +211,19 @@ def test_simulate_over_limit(tmp_path, capsys):
     assert not (out / "simulate_deviation.json").exists()
 
 
+def test_simulate_out_of_memory_is_over_limit(tmp_path, capsys, monkeypatch):
+    def no_memory(config, seed):
+        raise MemoryError("Unable to allocate 9.38 GiB for an array")
+    monkeypatch.setattr(photonsim.cli, "init_weights", no_memory)
+    out = tmp_path / "s"
+    assert main(["simulate", "--config", write_tiny_config(tmp_path), "--allow-large",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:over_limit: out of memory")
+    assert err.count("\n") == 1  # single line, no traceback
+    assert not (out / "simulate_manifest.json").exists()
+
+
 def test_simulate_requires_model_or_config(tmp_path, capsys):
     assert main(["simulate", "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith("error:usage:")
@@ -349,6 +364,28 @@ def test_profile_parse_errors(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:parse:")
     assert "e_nonexistent_field" in err  # names the offending field
+    bad.write_text(json.dumps({"e_dac": math.nan}))  # NaN is accepted by json.load
+    assert main(["energy", "--model", "GPT2-117M", "--profile", str(bad),
+                 "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:parse:")
+    assert "e_dac" in err
+    assert not (tmp_path / "o" / "energy_manifest.json").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+@pytest.mark.parametrize("rows", ["0\n", "0,0.5\n\n", "zero,0.5\n", "0,half\n"],
+                         ids=["short_row", "blank_row", "non_integer_index", "non_numeric_value"])
+def test_malformed_lut_is_parse_error(tmp_path, capsys, command, rows):
+    lut = tmp_path / "lut.csv"
+    lut.write_text("level_index,value\n" + rows)
+    out = tmp_path / "o"
+    assert main([command, "--config", write_tiny_config(tmp_path), "--weight-lut", str(lut),
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:parse:")
+    assert err.count("\n") == 1
+    assert not (out / f"{command}_manifest.json").exists()
 
 
 def test_missing_config_file(tmp_path, capsys):
@@ -452,6 +489,68 @@ def test_failed_write_leaves_no_temporary_file(tmp_path):
     with pytest.raises(OSError):
         write_json(str(target), {"a": 1})
     assert os.listdir(tmp_path) == ["taken"]
+
+
+# --------------------------------------------------------------------------
+# JSON writer
+
+
+def round9(obj):
+    if isinstance(obj, float):
+        return float(f"{obj:.9g}") if math.isfinite(obj) else str(obj)
+    if isinstance(obj, dict):
+        return {k: round9(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [round9(v) for v in obj]
+    return obj
+
+
+def assert_written_like_reference(path, obj):
+    write_json(str(path), obj)
+    expected = json.dumps(round9(obj), indent=2) + "\n"
+    assert path.read_bytes() == expected.encode("utf-8")
+
+
+# where "%.9g" and repr part ways: integer values, -0.0, exponents 9-15, subnormals
+GUARD_EDGES = [999999999.5, 1e9 - 0.4, 0.999999999951, 0.0, -0.0, 5e-324,
+               9.99999999951e-5, 1e15, 1e16, -3.0, 123456789.0, 0.5]
+
+
+WRITER_CASES = {
+    "edge_rows": [[v] for v in GUARD_EDGES],
+    "edge_first": [[v, 0.25, -1.5e-7] for v in GUARD_EDGES],
+    "edge_last": [[0.25, v] for v in GUARD_EDGES],
+    "edge_vector": GUARD_EDGES,
+    "non_finite_in_rows": [[0.5, math.nan], [math.inf, -1.5], [-math.inf, 2.5]],
+    "non_finite_alone": {"nan": math.nan, "inf": math.inf, "-inf": -math.inf},
+    "ints_in_rows": [[1, 2.5], [3.5, 4]],
+    "scalars": [1, 2.5, 10 ** 12, True, False, None],
+    "np_float64_rows": [[np.float64(1.0 / 3), 2.5], [np.float64(1e9 + 0.5), np.float64(math.nan)]],
+    "np_float64_alone": np.float64(2.0 / 3),
+    "ragged_rows": [[1.5], [2.5, 3.5], []],
+    "empties": [[], {}, [[]], [{}], {"empty": []}],
+    "empty_list": [],
+    "empty_dict": {},
+    "non_ascii": {"name": "Gr\u00fcn \u2192 \u5149", "nested": {"\u00e9": ["\u03bb", 0.1]}},
+    "tuples": ((1.5, 2.5), (3.5, 4.5)),
+}
+
+
+@pytest.mark.parametrize("obj", WRITER_CASES.values(), ids=WRITER_CASES.keys())
+def test_write_json_matches_reference(tmp_path, obj):
+    assert_written_like_reference(tmp_path / "doc.json", obj)
+
+
+float_matrices = st.integers(1, 5).flatmap(lambda width: st.lists(
+    st.lists(st.one_of(st.floats(width=64), st.sampled_from(GUARD_EDGES)),
+             min_size=width, max_size=width), min_size=1, max_size=5))
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(matrix=float_matrices)
+def test_write_json_float_matrices_match_reference(tmp_path, matrix):
+    assert_written_like_reference(tmp_path / "doc.json", {"m": [matrix, matrix[0]]})
 
 
 # --------------------------------------------------------------------------

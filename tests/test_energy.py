@@ -55,6 +55,13 @@ def test_profile_validation_and_json():
     assert HardwareProfile.from_json(p.to_json()) == p
 
 
+@pytest.mark.parametrize("field", ["e_dac", "photon_energy", "clock", "input_bits"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_profile_rejects_non_finite_fields(field, value):
+    with pytest.raises(ValueError, match=field):
+        HardwareProfile(**{field: value})
+
+
 # --------------------------------------------------------------------------
 # photon policy
 

@@ -1,8 +1,9 @@
-"""Smoke test of the benchmark harness: one traced round of the LUT sweep.
+"""Smoke test of the benchmark harness: one traced round per workload.
 
 No timing is asserted; the run must pass its own output checks and its
-per-class cross-check, and the weight snap count must match the resident
-weights: 12 d^2 elements per layer, once per sweep.
+per-class cross-check, and the tracer must find every function it wraps.
+On the LUT sweep, the weight snap count must match the resident weights:
+12 d^2 elements per layer, once per sweep.
 """
 import json
 import os
@@ -10,13 +11,16 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
-def test_sweep_weight_lut_traced_round():
+@pytest.mark.parametrize("workload", ["sweep_weight_lut", "simulate_shot_lut"])
+def test_traced_round(workload):
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "sweep_weight_lut",
+        [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", "0", "--seconds", "0", "--trace", "1"],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
@@ -24,5 +28,9 @@ def test_sweep_weight_lut_traced_round():
     assert "not found" not in proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["correct"] is True, proc.stderr
-    d, layers = 128, 1  # SWEEP_SHAPE in perfbench/workloads.py
-    assert result["metrics"]["optics.quantized_elems"]["value"] == 12 * d * d * layers
+    metrics = result["metrics"]
+    if workload == "sweep_weight_lut":
+        d, layers = 128, 1  # SWEEP_SHAPE in perfbench/workloads.py
+        assert metrics["optics.quantized_elems"]["value"] == 12 * d * d * layers
+    else:  # both traces and the deviation files pass through the traced writer
+        assert metrics["cli.bytes_written"]["value"] > 0
