@@ -10,6 +10,12 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from functools import cached_property
+
+# The weight matrices each layer keeps resident on the optical hardware, as
+# (product class, rows, cols) with rows and cols in units of d, in the order
+# init_weights draws them. Each is the right operand of its class's product.
+WEIGHT_MATRICES = (("qkv", 1, 3), ("out_proj", 1, 1), ("ff1", 1, 4), ("ff2", 4, 1))
 
 
 @dataclass(frozen=True)
@@ -33,7 +39,7 @@ class ModelConfig:
     def __post_init__(self) -> None:
         for field in ("n", "d", "h", "L"):
             value = getattr(self, field)
-            if not isinstance(value, int) or value <= 0:
+            if type(value) is not int or value <= 0:  # bool is an int subclass
                 raise ValueError(f"{field} must be a positive integer, got {value!r}")
 
     @property
@@ -45,10 +51,15 @@ class ModelConfig:
             raise ValueError(f"d must be divisible by h: d={self.d}, h={self.h}")
         return self.d // self.h
 
+    @cached_property  # the chunking model asks for it once per scenario
+    def layer_weight_count(self) -> int:
+        """Weights in one layer's WEIGHT_MATRICES."""
+        return sum(rows * cols for _, rows, cols in WEIGHT_MATRICES) * self.d * self.d
+
     @property
     def param_count(self) -> int:
-        # non-embedding weights per layer: qkv 3d^2 + out d^2 + ff1 4d^2 + ff2 4d^2
-        return 12 * self.L * self.d * self.d
+        """Non-embedding weights of all L layers."""
+        return self.L * self.layer_weight_count
 
 
 @dataclass(frozen=True)
@@ -118,26 +129,19 @@ def product_counts(n: int, d: int, k: int, weights_in_place: bool = False) -> Pr
 def compute_breakdown(config: ModelConfig) -> ComputeBreakdown:
     """Per-layer MAC and scalar-traffic counts for every product class.
 
-    Weight matrices (qkv, out_proj, ff1, ff2) stay in place on the optical
-    hardware, so only their activations are loaded. Both attention products
-    stream two activation operands.
+    The WEIGHT_MATRICES stay in place on the optical hardware, so only their
+    activations are loaded. Both attention products stream two activation
+    operands; their counts are closed forms over all h heads, which need not
+    divide d.
     """
     n, d, h = config.n, config.d, config.h
-    products = {
-        # fused QKV projection: (n x d) @ (d x 3d), weights in place
-        "qkv": ProductCounts(macs=3 * n * d * d, loads=n * d, detects=3 * n * d),
-        # per head Q K^T: h x [(n x d_h) @ (d_h x n)] = n^2 d MACs total,
-        # both operands streamed
-        "attn_qk": ProductCounts(macs=n * n * d, loads=2 * n * d, detects=h * n * n),
-        # per head (softmax scores) V: h x [(n x n) @ (n x d_h)] = n^2 d MACs
-        "attn_av": ProductCounts(macs=n * n * d, loads=h * n * n + n * d, detects=n * d),
-        # output projection: (n x d) @ (d x d), weights in place
-        "out_proj": ProductCounts(macs=n * d * d, loads=n * d, detects=n * d),
-        # feed-forward up: (n x d) @ (d x 4d), weights in place
-        "ff1": ProductCounts(macs=4 * n * d * d, loads=n * d, detects=4 * n * d),
-        # feed-forward down: (n x 4d) @ (4d x d), weights in place
-        "ff2": ProductCounts(macs=4 * n * d * d, loads=4 * n * d, detects=n * d),
-    }
+    products = dict.fromkeys(PRODUCT_CLASSES)  # fixes the key order
+    for name, rows, cols in WEIGHT_MATRICES:
+        products[name] = product_counts(n, rows * d, cols * d, weights_in_place=True)
+    # per head Q K^T: h x [(n x d_h) @ (d_h x n)] = n^2 d MACs total
+    products["attn_qk"] = ProductCounts(macs=n * n * d, loads=2 * n * d, detects=h * n * n)
+    # per head (softmax scores) V: h x [(n x n) @ (n x d_h)] = n^2 d MACs
+    products["attn_av"] = ProductCounts(macs=n * n * d, loads=h * n * n + n * d, detects=n * d)
     digital = {
         "softmax": h * n * n,   # one element per attention score
         "layernorm": 2 * n * d,  # two norms per layer
@@ -162,17 +166,17 @@ def hardware_requirements(config: ModelConfig, core_size: float = 1e7) -> Hardwa
 
     The widest vectors moved in one step are the 4d-long feed-forward
     activations, so input modulators and detector counts are 4d. Core count
-    assumes the largest weight block (d x 4d) is tiled over MVM cores of
+    assumes the largest of the WEIGHT_MATRICES is tiled over MVM cores of
     `core_size` weights each. SRAM holds the 4d x n activation tensor at one
     byte per scalar.
     """
-    if core_size <= 0:
-        raise ValueError(f"core_size must be positive, got {core_size}")
+    if not 0 < core_size < math.inf:
+        raise ValueError(f"core_size must be finite and positive, got {core_size}")
     d, n = config.d, config.n
     return HardwareRequirements(
         input_vector_elements=4 * d,
         detectors=4 * d,
-        mvm_cores=math.ceil(4 * d * d / core_size),
+        mvm_cores=math.ceil(max(r * c for _, r, c in WEIGHT_MATRICES) * d * d / core_size),
         sram_bytes=4 * n * d,
     )
 

@@ -16,7 +16,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import fields
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -229,38 +228,26 @@ def _resolve_models(args, require_one: bool = False) -> tuple[list[ModelConfig],
     raise _usage("provide --model NAME, --config FILE, or --all")
 
 
+def _read_json_file(kind: str, path: str, from_json):
+    """`from_json` applied to the text of the --profile or --policy file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return from_json(fh.read())
+    except (OSError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+        raise CliError("parse", f"{kind} file {path}: {exc}")
+
+
 def _pricing_from_args(args, resolved: dict) -> tuple[HardwareProfile, PhotonPolicy]:
     """Hardware profile and photon policy, recorded in `resolved`."""
-    resolved["profile"] = "default"
-    profile = default_profile()
-    if args.profile:
-        try:
-            with open(args.profile, encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise CliError("parse", f"profile file {args.profile}: {exc}")
-        known = {f.name for f in fields(HardwareProfile)}
-        for key in doc:
-            if key not in known:
-                raise CliError("parse", f"profile file {args.profile}: unknown field '{key}'")
-        try:
-            profile = HardwareProfile(**doc)
-        except (TypeError, ValueError) as exc:
-            raise CliError("parse", f"profile file {args.profile}: {exc}")
-        resolved["profile"] = args.profile
+    profile = (_read_json_file("profile", args.profile, HardwareProfile.from_json)
+               if args.profile else default_profile())
+    resolved["profile"] = args.profile or "default"
     if getattr(args, "future", False):
         profile = future_profile(profile)
         resolved["future"] = True
-
-    resolved["policy"] = "default"
-    if not args.policy:
-        return profile, default_policy()
-    try:
-        with open(args.policy, encoding="utf-8") as fh:
-            policy = PhotonPolicy.from_json(fh.read())
-    except (OSError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
-        raise CliError("parse", f"policy file {args.policy}: {exc}")
-    resolved["policy"] = args.policy
+    policy = (_read_json_file("policy", args.policy, PhotonPolicy.from_json)
+              if args.policy else default_policy())
+    resolved["policy"] = args.policy or "default"
     return profile, policy
 
 
@@ -282,6 +269,20 @@ def _is_percent(value: float) -> bool:
     return 0 <= value < math.inf
 
 
+def _checked_float(flag: str, valid, rule: str):
+    """A parser of `flag`'s value: a float passing `valid`, which `rule`
+    describes. As an argparse type it raises the CliError like _parse_seed."""
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan  # rejected below like any other invalid value
+        if not valid(value):
+            raise _usage(f"{flag} must be {rule}, got {text}")
+        return value
+    return parse
+
+
 def _parse_seed(text: str) -> int:
     """--seed's type. argparse reports only its own exception types, so the
     CliError raised here reaches main() like any other usage error."""
@@ -297,13 +298,7 @@ def _parse_seed(text: str) -> int:
 def _parse_photons(text: str) -> float:
     if text.lower() in ("inf", "none", ""):
         return math.inf
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan  # rejected below like any other non-positive value
-    if not value > 0:
-        raise _usage(f"--photons must be > 0 or 'inf', got {text}")
-    return value
+    return _checked_float("--photons", lambda v: v > 0, "> 0 or 'inf'")(text)
 
 
 def _simulation_inputs(args) -> tuple[ModelConfig, dict, tuple, float]:
@@ -389,7 +384,7 @@ def cmd_chunking(args) -> list[str]:
                 onn = chunked_onn_energy(model, profile, policy, scenario).total()
                 gpu = chunked_gpu_energy(model, a100, scenario, args.dram_j_per_bit)
                 rows.append([model.name, memory, batch,
-                             scenario.chunks(12 * model.d * model.d),
+                             scenario.chunks(model.layer_weight_count),
                              onn, gpu, macs * a100 / onn, gpu / onn])
     header = ["model", "memory_weights", "batch_size", "chunks",
               "onn_j", "gpu_chunked_j", "advantage_a100", "advantage_chunked_gpu"]
@@ -522,19 +517,22 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("energy", cmd_energy, [models, costing, pricing],
                 "per-inference energy report and advantage")
     p.add_argument("--future", action="store_true", help="apply the future-electronics profile")
-    p.add_argument("--baseline", type=float, default=None,
+    p.add_argument("--baseline", default=None,
+                   type=_checked_float("--baseline", lambda v: 0 < v < math.inf, "finite and > 0"),
                    help="extra digital baseline in J/MAC")
 
     p = command("requirements", cmd_requirements, [models, costing],
                 "hardware requirement table")
-    p.add_argument("--core-size", type=float, default=1e7,
+    p.add_argument("--core-size", default=1e7,
+                   type=_checked_float("--core-size", lambda v: 0 < v < math.inf, "finite and > 0"),
                    help="weights per MVM core (default 1e7)")
 
     p = command("chunking", cmd_chunking, [models, costing, pricing],
                 "chunked weight-streaming advantage curves")
     p.add_argument("--memory", default="1e8", help="comma list of weight-memory capacities")
     p.add_argument("--batch", default="1", help="comma list of batch sizes")
-    p.add_argument("--dram-j-per-bit", type=float, default=1e-12)
+    p.add_argument("--dram-j-per-bit", default=1e-12,
+                   type=_checked_float("--dram-j-per-bit", _is_percent, "finite and >= 0"))
 
     p = command("simulate", cmd_simulate, [models, simulation], "digital vs optical forward pass")
     p.add_argument("--ff-noise", type=float, default=0.0, help="systematic %% on FF products")

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, asdict, replace
+from dataclasses import dataclass, asdict, fields, replace
 
-from .arch import ModelConfig, compute_breakdown, PRODUCT_CLASSES
+from .arch import ModelConfig, compute_breakdown, PRODUCT_CLASSES, WEIGHT_MATRICES
 
 LAYER_CLASSES = PRODUCT_CLASSES + ("digital_fns",)
 CATEGORIES = ("electrical_load", "electrical_detect", "optical", "maintenance", "digital")
@@ -38,10 +38,7 @@ class HardwareProfile:
     e_adc: float = 3.17e-12         # J per output sample (7-bit)
     e_maintain: float = 2e-18       # J/MAC to hold weights in place
     photon_energy: float = 1.602e-19  # J (1 eV)
-    clock: float = 1e10             # Hz, documentation/throughput only
     input_bits: int = 5
-    weight_bits: int = 8
-    output_bits: int = 7
     mem_bits_per_scalar: int = 8    # memory traffic billed at 8 bits/scalar
 
     def __post_init__(self) -> None:
@@ -49,11 +46,9 @@ class HardwareProfile:
                      "e_amp", "e_adc", "e_maintain", "photon_energy"):
             if not 0 <= getattr(self, name) < math.inf:  # NaN fails every comparison
                 raise ValueError(f"{name} must be finite and >= 0")
-        for name in ("input_bits", "weight_bits", "output_bits", "mem_bits_per_scalar"):
+        for name in ("input_bits", "mem_bits_per_scalar"):
             if not 1 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and >= 1")
-        if not 0 < self.clock < math.inf:
-            raise ValueError("clock must be finite and > 0")
 
     @property
     def load_cost(self) -> float:
@@ -75,7 +70,13 @@ class HardwareProfile:
 
     @classmethod
     def from_json(cls, doc: str | dict) -> "HardwareProfile":
-        data = json.loads(doc) if isinstance(doc, str) else dict(doc)
+        data = json.loads(doc) if isinstance(doc, str) else doc
+        if not isinstance(data, dict):
+            raise ValueError(f"profile must be a JSON object, got {type(data).__name__}")
+        known = {f.name for f in fields(cls)}
+        for key in data:
+            if key not in known:
+                raise ValueError(f"unknown field '{key}'")
         return cls(**data)
 
 
@@ -262,10 +263,6 @@ class ChunkingScenario:
         return max(1, math.ceil(layer_weight_count / self.memory_capacity_weights))
 
 
-# weight count per layer by class: qkv 3d^2, out d^2, ff1 4d^2, ff2 4d^2
-_WEIGHT_FRACTIONS = {"qkv": 3 / 12, "out_proj": 1 / 12, "ff1": 4 / 12, "ff2": 4 / 12}
-
-
 def chunked_onn_energy(config: ModelConfig, profile: HardwareProfile | None = None,
                        policy: PhotonPolicy | None = None,
                        scenario: ChunkingScenario | None = None,
@@ -284,7 +281,7 @@ def chunked_onn_energy(config: ModelConfig, profile: HardwareProfile | None = No
     report = total_energy(config, profile, policy, baselines)
     if config.param_count <= scenario.memory_capacity_weights:
         return report  # whole model resident: degenerate chunking
-    k = scenario.chunks(12 * config.d * config.d)
+    k = scenario.chunks(config.layer_weight_count)
     for name in PRODUCT_CLASSES:
         report.cells[name]["electrical_load"] *= k
     j_per_bit = scenario.weight_load_energy
@@ -292,7 +289,8 @@ def chunked_onn_energy(config: ModelConfig, profile: HardwareProfile | None = No
         j_per_bit = profile.e_read_offchip
     weight_load = (config.param_count * profile.mem_bits_per_scalar * j_per_bit
                    / scenario.batch_size)
-    for name, fraction in _WEIGHT_FRACTIONS.items():
+    for name, rows, cols in WEIGHT_MATRICES:
+        fraction = rows * cols * config.d * config.d / config.layer_weight_count
         report.cells[name]["electrical_load"] += weight_load * fraction
     return report
 
@@ -303,7 +301,7 @@ def chunked_gpu_energy(config: ModelConfig, digital_j_per_mac: float,
     """Digital system split over chunks: per-MAC compute plus activations
     crossing DRAM once per chunk after every layer."""
     breakdown = compute_breakdown(config)
-    k = scenario.chunks(12 * config.d * config.d)
+    k = scenario.chunks(config.layer_weight_count)
     activation_scalars = config.L * config.n * config.d
     return (breakdown.total_macs * digital_j_per_mac
             + k * activation_scalars * mem_bits_per_scalar * dram_j_per_bit)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .arch import ModelConfig
+from .arch import WEIGHT_MATRICES, ModelConfig
 from .optics import (LookupTable, NoiseSpec, derive_rng, derive_seed, lut_snap,
                      optical_matmul)
 
@@ -23,10 +23,12 @@ LN_EPS = 1e-5
 
 @dataclass
 class LayerWeights:
-    qkv: np.ndarray       # (d, 3d)
-    out_proj: np.ndarray  # (d, d)
-    ff1: np.ndarray       # (d, 4d)
-    ff2: np.ndarray       # (4d, d)
+    """One layer's WEIGHT_MATRICES, named by product class, and its layernorms."""
+
+    qkv: np.ndarray
+    out_proj: np.ndarray
+    ff1: np.ndarray
+    ff2: np.ndarray
     ln1_gain: np.ndarray
     ln1_bias: np.ndarray
     ln2_gain: np.ndarray
@@ -52,10 +54,7 @@ def init_weights(config: ModelConfig, seed: int = 0) -> TransformerWeights:
     for layer_idx in range(config.L):
         rng = derive_rng(seed, layer_idx)
         layers.append(LayerWeights(
-            qkv=_xavier(rng, d, 3 * d),
-            out_proj=_xavier(rng, d, d),
-            ff1=_xavier(rng, d, 4 * d),
-            ff2=_xavier(rng, 4 * d, d),
+            **{name: _xavier(rng, rows * d, cols * d) for name, rows, cols in WEIGHT_MATRICES},
             ln1_gain=np.ones(d), ln1_bias=np.zeros(d),
             ln2_gain=np.ones(d), ln2_bias=np.zeros(d),
         ))
@@ -72,8 +71,7 @@ def snap_weights(weights: TransformerWeights, lut: LookupTable) -> TransformerWe
         return lut_snap(w.T, lut).T
 
     return replace(weights, layers=[
-        replace(layer, qkv=snap(layer.qkv), out_proj=snap(layer.out_proj),
-                ff1=snap(layer.ff1), ff2=snap(layer.ff2))
+        replace(layer, **{name: snap(getattr(layer, name)) for name, _, _ in WEIGHT_MATRICES})
         for layer in weights.layers])
 
 

@@ -122,6 +122,11 @@ def test_config_validation():
         ModelConfig("t", 4, 8, 2, -1)
     with pytest.raises(ValueError):
         ModelConfig("t", 4, 8.0, 2, 1)
+    for field in range(4):  # bool is an int subclass, but no shape
+        shape = [4, 8, 2, 1]
+        shape[field] = True
+        with pytest.raises(ValueError, match="positive integer"):
+            ModelConfig("t", *shape)
 
 
 def test_head_dim_requires_divisibility():
@@ -169,8 +174,9 @@ def test_requirements_scaling():
 
 
 def test_requirements_core_size_validation():
-    with pytest.raises(ValueError):
-        hardware_requirements(ModelConfig("t", 4, 8, 2, 1), core_size=0)
+    for core_size in (0, -1.0, math.nan, math.inf):  # inf used to size 0 cores
+        with pytest.raises(ValueError):
+            hardware_requirements(ModelConfig("t", 4, 8, 2, 1), core_size=core_size)
 
 
 # --------------------------------------------------------------------------

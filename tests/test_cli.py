@@ -370,6 +370,18 @@ def test_profile_parse_errors(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:parse:")
     assert "e_dac" in err
+    for field in ("clock", "weight_bits", "output_bits"):  # removed: they priced nothing
+        bad.write_text(json.dumps({field: 1}))
+        assert main(["energy", "--model", "GPT2-117M", "--profile", str(bad),
+                     "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error:parse: profile file {bad}: unknown field '{field}'")
+    bad.write_text("[1]")
+    assert main(["energy", "--model", "GPT2-117M", "--profile", str(bad),
+                 "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:parse:")
+    assert "must be a JSON object" in err
     assert not (tmp_path / "o" / "energy_manifest.json").exists()
 
 
@@ -382,6 +394,20 @@ def test_malformed_lut_is_parse_error(tmp_path, capsys, command, rows):
     out = tmp_path / "o"
     assert main([command, "--config", write_tiny_config(tmp_path), "--weight-lut", str(lut),
                  "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:parse:")
+    assert err.count("\n") == 1
+    assert not (out / f"{command}_manifest.json").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "energy"])
+@pytest.mark.parametrize("field", ["n", "L"])
+def test_bool_config_field_is_parse_error(tmp_path, capsys, command, field):
+    # json `true` is a Python bool, an int subclass; it must not be costed as 1
+    config = tmp_path / "bool.json"
+    config.write_text(json.dumps(dict(TINY, **{field: True})))
+    out = tmp_path / "o"
+    assert main([command, "--config", str(config), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:parse:")
     assert err.count("\n") == 1
@@ -407,6 +433,16 @@ def test_missing_config_file(tmp_path, capsys):
     ["simulate", "--seed", "-1"],
     ["sweep", "--seed", "-1"],
     ["energy", "--seed", "2.5"],
+    ["requirements", "--core-size", "0"],
+    ["requirements", "--core-size", "nan"],
+    ["requirements", "--core-size", "inf"],
+    ["chunking", "--dram-j-per-bit", "nan"],
+    ["chunking", "--dram-j-per-bit", "-1"],
+    ["chunking", "--dram-j-per-bit", "inf"],
+    ["energy", "--baseline", "nan"],
+    ["energy", "--baseline", "-1"],
+    ["energy", "--baseline", "0"],
+    ["energy", "--baseline", "abc"],
 ])
 def test_bad_numeric_inputs_are_usage_errors(tmp_path, capsys, argv):
     out = tmp_path / "o"

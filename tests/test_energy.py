@@ -49,13 +49,11 @@ def test_profile_validation_and_json():
         HardwareProfile(e_dac=-1.0)
     with pytest.raises(ValueError):
         HardwareProfile(input_bits=0)
-    with pytest.raises(ValueError):
-        HardwareProfile(clock=0)
     p = HardwareProfile(e_dac=5e-12, input_bits=6)
     assert HardwareProfile.from_json(p.to_json()) == p
 
 
-@pytest.mark.parametrize("field", ["e_dac", "photon_energy", "clock", "input_bits"])
+@pytest.mark.parametrize("field", ["e_dac", "photon_energy", "mem_bits_per_scalar", "input_bits"])
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_profile_rejects_non_finite_fields(field, value):
     with pytest.raises(ValueError, match=field):

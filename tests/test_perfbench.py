@@ -3,7 +3,9 @@
 No timing is asserted; the run must pass its own output checks and its
 per-class cross-check, and the tracer must find every function it wraps.
 On the LUT sweep, the weight snap count must match the resident weights:
-12 d^2 elements per layer, once per sweep.
+12 d^2 elements per layer, once per sweep. On the cost-model workload the
+output checks include the pinned sha256 of every energy, chunking and
+requirements file.
 """
 import json
 import os
@@ -16,7 +18,8 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["sweep_weight_lut", "simulate_shot_lut"])
+@pytest.mark.parametrize("workload", ["sweep_weight_lut", "simulate_shot_lut",
+                                      "energy_catalogue"])
 def test_traced_round(workload):
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run(
@@ -32,5 +35,6 @@ def test_traced_round(workload):
     if workload == "sweep_weight_lut":
         d, layers = 128, 1  # SWEEP_SHAPE in perfbench/workloads.py
         assert metrics["optics.quantized_elems"]["value"] == 12 * d * d * layers
-    else:  # both traces and the deviation files pass through the traced writer
+    elif workload == "simulate_shot_lut":
+        # both traces and the deviation files pass through the traced writer
         assert metrics["cli.bytes_written"]["value"] > 0

@@ -10,6 +10,7 @@ from photonsim import (DigitalBackend, ModelConfig, NoiseSpec, OpticalBackend,
                        derive_rng, derive_seed, deviation, forward, init_weights,
                        load_trace, lut_synthesize, make_input, noise_sweep, save_trace,
                        trace_to_json_dict)
+from photonsim.arch import WEIGHT_MATRICES
 from photonsim.txsim import _layernorm, _relu6, _softmax
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -34,6 +35,21 @@ def test_xavier_bounds():
     assert np.abs(layer.qkv).max() <= math.sqrt(6.0 / 16)
     assert np.array_equal(layer.ln1_gain, np.ones(4))
     assert np.array_equal(layer.ln1_bias, np.zeros(4))
+
+
+@pytest.mark.parametrize("shape", [(4, 8, 2, 2), (3, 12, 3, 1), (5, 6, 1, 3), (16, 32, 4, 2)])
+def test_init_weights_match_the_billed_weights(shape):
+    # the matrices the simulator draws are the ones the cost model bills
+    cfg = ModelConfig("t", *shape)
+    weights = init_weights(cfg, 0)
+    assert len(weights.layers) == cfg.L
+    total = 0
+    for layer in weights.layers:
+        for name, rows, cols in WEIGHT_MATRICES:
+            assert getattr(layer, name).shape == (rows * cfg.d, cols * cfg.d)
+            total += getattr(layer, name).size
+    assert total == cfg.param_count
+    assert total == cfg.L * cfg.layer_weight_count
 
 
 def test_init_weights_deterministic():
