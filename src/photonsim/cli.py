@@ -396,8 +396,6 @@ def cmd_chunking(args) -> list[str]:
 
 def cmd_simulate(args) -> list[str]:
     config, resolved, (input_lut, weight_lut), photons = _simulation_inputs(args)
-    if not (_is_percent(args.ff_noise) and _is_percent(args.attn_noise)):
-        raise _usage("--ff-noise and --attn-noise must be finite and >= 0")
     noise = NoiseSpec(systematic_percent_ff=args.ff_noise,
                       systematic_percent_attn=args.attn_noise,
                       photons_per_mac=photons, seed=args.seed)
@@ -535,8 +533,10 @@ def build_parser() -> argparse.ArgumentParser:
                    type=_checked_float("--dram-j-per-bit", _is_percent, "finite and >= 0"))
 
     p = command("simulate", cmd_simulate, [models, simulation], "digital vs optical forward pass")
-    p.add_argument("--ff-noise", type=float, default=0.0, help="systematic %% on FF products")
-    p.add_argument("--attn-noise", type=float, default=0.0, help="systematic %% on attention products")
+    p.add_argument("--ff-noise", default=0.0, help="systematic %% on FF products",
+                   type=_checked_float("--ff-noise", _is_percent, "finite and >= 0"))
+    p.add_argument("--attn-noise", default=0.0, help="systematic %% on attention products",
+                   type=_checked_float("--attn-noise", _is_percent, "finite and >= 0"))
 
     p = command("sweep", cmd_sweep, [models, simulation], "noise-tolerance deviation surface")
     p.add_argument("--ff-grid", default="0,1,2,5", help="comma list of FF noise percents")

@@ -142,9 +142,15 @@ class PhotonPolicy:
 
     @classmethod
     def from_json(cls, doc: str | dict) -> "PhotonPolicy":
-        data = json.loads(doc) if isinstance(doc, str) else dict(doc)
-        if data.get("table") is not None:
-            data["table"] = {int(k): float(v) for k, v in data["table"].items()}
+        data = json.loads(doc) if isinstance(doc, str) else doc
+        if not isinstance(data, dict):
+            raise ValueError(f"policy must be a JSON object, got {type(data).__name__}")
+        data = dict(data)  # "table" is rewritten below
+        table = data.get("table")
+        if table is not None:
+            if not isinstance(table, dict):
+                raise ValueError(f"policy table must be a JSON object, got {type(table).__name__}")
+            data["table"] = {int(k): float(v) for k, v in table.items()}
         return cls(**data)
 
 

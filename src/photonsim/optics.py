@@ -12,11 +12,30 @@ import json
 import math
 import os
 from dataclasses import dataclass, asdict, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 QUANTIZER_MODES = ("ema", "percentile", "lut")
 ROUNDING_MODES = ("deterministic", "stochastic")
+
+# Mean photon count per output (photons per MAC x MACs per output) from which
+# `optical_matmul` draws shot noise as one Gaussian per output, the large-count
+# limit of Hamerly et al., PRX 2019 (arXiv:1812.07614). Below it each of the
+# four passes is Poisson-sampled exactly, as the few-photon regime of Wang et
+# al., Nat. Commun. 2022 (arXiv:2104.13467) needs. At 1000 photons an
+# output's Poisson skewness is 1/sqrt(1000), about 3%.
+GAUSSIAN_SHOT_PHOTONS = 1000.0
+
+# Most bins a LookupTable's snap table may have. A LUT with three levels
+# closer together than a bin (a loaded CSV can have them) snaps by binary
+# search.
+MAX_SNAP_BINS = 1 << 16
+
+# Elements per block of a table snap: 256 KiB per float temporary, so that a
+# block's temporaries stay in cache.
+_SNAP_BLOCK = 1 << 15
 
 
 def derive_seed(seed: int, *keys: int) -> int:
@@ -39,14 +58,15 @@ def _as_rng(seed) -> np.random.Generator:
 # Lookup tables
 
 
-@dataclass
+@dataclass(frozen=True)
 class LookupTable:
     """Representable transmission levels of a modulation device.
 
     Levels are fractions of the maximum transmission: sorted ascending,
     non-negative, normalized so the top level is exactly 1.0. `floor` is the
     minimum nonzero transmission (devices that cannot fully extinguish have
-    no zero level and floor > 0).
+    no zero level and floor > 0). The table is immutable, so what is derived
+    from its levels is computed once.
     """
 
     levels: np.ndarray
@@ -68,11 +88,19 @@ class LookupTable:
         if self.floor > 0 and nonzero.size and nonzero.min() < self.floor - 1e-12:
             raise ValueError("nonzero levels fall below the stated floor")
         levels.flags.writeable = False
-        self.levels = levels
+        object.__setattr__(self, "levels", levels)
 
-    @property
+    @cached_property
     def unique_levels(self) -> np.ndarray:
-        return np.unique(self.levels)
+        levels = np.unique(self.levels)
+        levels.flags.writeable = False
+        return levels
+
+    @cached_property
+    def snap_table(self) -> _SnapTable | None:
+        """`_SnapTable` of `unique_levels`, or None when their breakpoints are
+        too close for MAX_SNAP_BINS bins."""
+        return _snap_table(self.unique_levels)
 
     @property
     def unique_count(self) -> int:
@@ -183,6 +211,16 @@ class EmaState:
             self.hi = gamma * self.hi + (1 - gamma) * batch_hi
 
 
+def _bin_index(x: np.ndarray, bins: int) -> np.ndarray:
+    """Bin of each value among `bins` uniform bins over [0, 1]. Values below 0
+    fall in the first bin; values above 1, +inf and NaN in the last."""
+    with np.errstate(over="ignore"):  # past 1 is the last bin, inf included
+        index = np.multiply(x, bins)  # exact: bins is a power of two
+    np.fmin(index, bins - 1, out=index)  # fmin, unlike minimum, maps NaN to bins - 1
+    np.fmax(index, 0, out=index)
+    return index.astype(np.intp)
+
+
 def _snap_deterministic(x: np.ndarray, levels: np.ndarray) -> np.ndarray:
     """Nearest level; exact ties go to the even level index."""
     if np.ndim(x) == 0:  # the in-place steps below need an array
@@ -203,6 +241,76 @@ def _snap_deterministic(x: np.ndarray, levels: np.ndarray) -> np.ndarray:
     return hi
 
 
+class _SnapTable(NamedTuple):
+    """`_snap_deterministic` of some levels as a table lookup.
+
+    That snap is monotone in x, so each level after the first is the result
+    from its breakpoint, the smallest float snapped to it, up to the next
+    breakpoint: the result is levels[number of breakpoints <= x]. With M =
+    2^k uniform bins over [0, 1] that put no two breakpoints in one bin, that
+    number is `index_at[b] - (x < breakpoint[b])` for x in bin b. NaN, which
+    compares false, gets the top level, as the binary search gives it.
+    """
+
+    index_at: np.ndarray    # per bin: 1 + the number of breakpoints below the bin
+    breakpoint: np.ndarray  # per bin: the first breakpoint at or above it, or inf
+    levels: np.ndarray      # the levels, the top one repeated for +inf and NaN
+
+
+def _breakpoints(levels: np.ndarray) -> np.ndarray:
+    """For each level after the first, the smallest float that the binary
+    search snaps to it, found by bisection between it and the level below."""
+    # non-negative floats order as their bit patterns; + 0.0 turns -0.0 into 0.0
+    below = (levels[:-1] + 0.0).view(np.int64)  # snapped below the level
+    at = np.array(levels[1:]).view(np.int64)  # snapped to the level
+    while np.any(at - below > 1):
+        mid = below + (at - below) // 2
+        up = _snap_deterministic(mid.view(np.float64), levels) == levels[1:]
+        at = np.where(up, mid, at)
+        below = np.where(up, below, mid)
+    return at.view(np.float64)
+
+
+def _snap_table(levels: np.ndarray) -> _SnapTable | None:
+    """The `_SnapTable` of sorted unique levels with the fewest bins, or None
+    if that would take more than MAX_SNAP_BINS."""
+    breakpoints = _breakpoints(levels)
+    bins = 1
+    while bins <= MAX_SNAP_BINS:
+        if np.all(np.diff(_bin_index(breakpoints, bins)) > 0):
+            below = np.searchsorted(breakpoints, np.arange(bins) / bins, side="left")
+            table = _SnapTable(below + 1, np.append(breakpoints, np.inf)[below],
+                               np.append(levels, levels[-1]))
+            for array in table:
+                array.flags.writeable = False
+            return table
+        bins *= 2
+    return None
+
+
+def _snap_by_table(x: np.ndarray, table: _SnapTable) -> np.ndarray:
+    """`_snap_deterministic` through its table: the same bits, and the same
+    C-order result."""
+    if np.ndim(x) == 0:
+        return _snap_by_table(np.reshape(x, 1), table).reshape(())
+    x = np.asarray(x)
+    out = np.empty(x.shape)
+    if x.flags.f_contiguous and not x.flags.c_contiguous:
+        x, view = x.T, out.T  # walk x in its memory order
+    else:
+        x, view = np.ascontiguousarray(x), out
+    bins = table.breakpoint.size
+    # in blocks of rows, so that the temporaries stay in cache
+    rows = max(1, _SNAP_BLOCK // max(1, x[0].size if len(x) else 1))
+    for start in range(0, len(x), rows):
+        block = x[start:start + rows]
+        bin_of = _bin_index(block, bins)
+        index = table.index_at[bin_of]
+        index -= block < table.breakpoint[bin_of]
+        view[start:start + rows] = table.levels[index]
+    return out
+
+
 def _snap_stochastic(x: np.ndarray, levels: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Bracketing levels chosen with probability proportional to proximity."""
     hi_idx = np.clip(np.searchsorted(levels, x, side="left"), 1, levels.size - 1)
@@ -215,9 +323,13 @@ def _snap_stochastic(x: np.ndarray, levels: np.ndarray, rng: np.random.Generator
     return np.where(rng.random(x.shape) < p_up, hi, lo)
 
 
-def _snap(x, levels, rounding, rng):
+def _snap(x, levels, rounding, rng, table=None):
+    """Snap x to levels; `table`, the `_SnapTable` of the levels, snaps
+    deterministically by lookup."""
     if rounding == "stochastic":
         return _snap_stochastic(x, levels, rng)
+    if table is not None:
+        return _snap_by_table(x, table)
     return _snap_deterministic(x, levels)
 
 
@@ -268,17 +380,18 @@ def quantize(values, spec: QuantizerSpec, lut: LookupTable | None = None,
     normalized = np.divide(magnitudes, scale, out=magnitudes)
     np.minimum(normalized, 1.0, out=normalized)
 
+    table = None
     if spec.mode == "lut":
         if lut is None:
             raise ValueError("lut mode requires a LookupTable")
-        levels = lut.unique_levels
+        levels, table = lut.unique_levels, lut.snap_table
     else:  # percentile
         n_levels = 2 ** spec.bits if values.min() >= 0 else 2 ** (spec.bits - 1)
         if n_levels < 2:
             n_levels = 2
         levels = np.linspace(0.0, 1.0, n_levels)
 
-    snapped = _snap(normalized, levels, spec.rounding, rng)
+    snapped = _snap(normalized, levels, spec.rounding, rng, table)
     del normalized, magnitudes
     # out of place: numpy picks the layout from both operands, and the bits of
     # the matmuls downstream can depend on that layout
@@ -311,17 +424,24 @@ class FourPassOperands:
         )
 
 
+def _sign_split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(a+, |a-|): a where a > 0 and -a where a < 0, +0.0 elsewhere (NaN too)."""
+    pos = np.fmax(a, 0.0)  # fmax, unlike maximum, maps NaN to 0
+    pos += 0.0  # -0.0 + 0.0 is +0.0
+    with np.errstate(invalid="ignore"):  # inf - inf
+        neg = np.subtract(pos, a)  # -a where a < 0, +0.0 where a >= 0
+    np.fmax(neg, 0.0, out=neg)  # NaN and inf - inf to 0
+    return pos, neg
+
+
 def four_pass_decompose(w, x) -> FourPassOperands:
     w = np.asarray(w, dtype=float)
     x = np.asarray(x, dtype=float)
     if w.ndim != 2 or x.ndim != 2 or w.shape[1] != x.shape[0]:
         raise ValueError(f"incompatible shapes {w.shape} @ {x.shape}")
-    return FourPassOperands(
-        w_pos=np.where(w > 0, w, 0.0),
-        w_neg=np.where(w < 0, -w, 0.0),
-        x_pos=np.where(x > 0, x, 0.0),
-        x_neg=np.where(x < 0, -x, 0.0),
-    )
+    w_pos, w_neg = _sign_split(w)
+    x_pos, x_neg = _sign_split(x)
+    return FourPassOperands(w_pos=w_pos, w_neg=w_neg, x_pos=x_pos, x_neg=x_neg)
 
 
 def recombine(operands: FourPassOperands) -> np.ndarray:
@@ -389,9 +509,52 @@ def apply_shot_noise(outputs, photons_per_mac: float, macs_per_output: int, seed
     mean = outputs.mean()
     if mean == 0.0:
         return outputs.copy()  # Poisson(0) = 0 a.s.
-    scale = (photons_per_mac * macs_per_output) / mean
+    photons = photons_per_mac * macs_per_output
     rng = _as_rng(seed)
+    with np.errstate(over="ignore"):
+        scale = photons / mean
+    if math.isinf(scale) and math.isfinite(photons):
+        # a mean below about 1e-305: the same draw, scaled through the mean
+        return rng.poisson(outputs / mean * photons) * (mean / photons)
     return rng.poisson(outputs * scale) / scale
+
+
+def _gaussian_shot_product(w: np.ndarray, x: np.ndarray, photons_per_mac: float,
+                           rng: np.random.Generator) -> np.ndarray:
+    """W @ X with the shot noise of the four passes drawn as one Gaussian per output.
+
+    `apply_shot_noise` reads pass i, p_i = W(+/-) @ X(+/-), at p_i * N / mean(p_i)
+    photons, N being photons_per_mac times the MACs per output, so the pass
+    has variance c_i * p_i with c_i = mean(p_i) / N. The four passes sum to
+    p1 - p2 - p3 + p4 = W @ X with variance
+        c1 W+X+ + c2 W-X+ + c3 W+X- + c4 W-X-
+          = [|W|  W] @ [(c1 + c2) X+ + (c3 + c4) X-; (c1 - c2) X+ + (c3 - c4) X-] / 2,
+    as W+ = (|W| + W) / 2 and W- = (|W| - W) / 2. Each mean(p_i) is the
+    column sums of its left operand dotted with the row sums of its right.
+    """
+    (m, macs_per_output), p = w.shape, x.shape[1]
+    x_pos, x_neg = _sign_split(x)
+    left = np.empty_like(w, shape=(m, 2 * macs_per_output))  # [|W|  W], in w's memory order
+    abs_w, signed_w = left[:, :macs_per_output], left[:, macs_per_output:]
+    np.abs(w, out=abs_w)
+    signed_w[...] = w
+    col_abs, col_signed = abs_w.sum(axis=0), signed_w.sum(axis=0)
+    cols = ((col_abs + col_signed) / 2, (col_abs - col_signed) / 2)  # of W+ and W-
+    rows = (x_pos.sum(axis=1), x_neg.sum(axis=1))  # of X+ and X-
+    photons = m * p * photons_per_mac * macs_per_output  # N times the outputs
+    (c1, c3), (c2, c4) = [[col @ row / photons for row in rows] for col in cols]
+    right = np.empty((2 * macs_per_output, p))
+    for out, a, b in ((right[:macs_per_output], c1 + c2, c3 + c4),
+                      (right[macs_per_output:], c1 - c2, c3 - c4)):
+        np.multiply(x_pos, a / 2, out=out)
+        out += (b / 2) * x_neg
+    noise = left @ right  # the variance
+    np.fmax(noise, 0.0, out=noise)  # rounding can take a zero variance below 0
+    np.sqrt(noise, out=noise)
+    noise *= rng.standard_normal(noise.shape)
+    product = w @ x
+    product += noise
+    return product
 
 
 def apply_systematic_noise(outputs, percent: float, seed=None) -> np.ndarray:
@@ -425,8 +588,10 @@ def optical_matmul(w, x, noise: NoiseSpec | None = None,
 
     Quantize operands through their LUTs, decompose into four non-negative
     passes, shot-noise each pass, recombine with signs, then add the
-    systematic error for this layer class. kind selects which systematic
-    percentage applies: "ff" for weight products, "attn" for
+    systematic error for this layer class. From GAUSSIAN_SHOT_PHOTONS mean
+    photons per output up, the shot noise of the four passes is drawn as one
+    Gaussian per output of the same mean and variance. kind selects which
+    systematic percentage applies: "ff" for weight products, "attn" for
     activation-activation products (both operands then use the input LUT).
 
     photon_accounting: "per_pass" gives each pass the full per-MAC budget
@@ -460,10 +625,17 @@ def optical_matmul(w, x, noise: NoiseSpec | None = None,
         if photon_accounting == "shared":
             budget /= 4.0
         macs_per_output = w.shape[1]
-        product = np.zeros((w.shape[0], x.shape[1]))
-        for left, right, sign in four_pass_decompose(w, x).passes():
-            term = apply_shot_noise(left @ right, budget, macs_per_output, seed=rng)
-            product = product + sign * term
+        if budget * macs_per_output >= GAUSSIAN_SHOT_PHOTONS:
+            product = _gaussian_shot_product(w, x, budget, rng)
+        else:
+            # apply_shot_noise's largest Poisson mean is N = budget *
+            # macs_per_output < GAUSSIAN_SHOT_PHOTONS times the pass's max
+            # over its mean, which is at most the pass's size: far below
+            # numpy's limit (about 9.2e18) for any array that fits in memory.
+            product = np.zeros((w.shape[0], x.shape[1]))
+            for left, right, sign in four_pass_decompose(w, x).passes():
+                term = apply_shot_noise(left @ right, budget, macs_per_output, seed=rng)
+                product = product + sign * term
 
     percent = noise.systematic_percent_attn if kind == "attn" else noise.systematic_percent_ff
     return apply_systematic_noise(product, percent, seed=rng)

@@ -202,6 +202,16 @@ def test_simulate_noiseless_deviation_is_zero(tmp_path):
     assert read_json(out / "simulate_deviation.json")["photons_per_mac"] is None
 
 
+@pytest.mark.parametrize("photons", ["1e17", "1e308"])
+def test_simulate_huge_photon_budget(tmp_path, photons):
+    # Poisson draws at these budgets pass numpy's limit on the mean (about
+    # 9.2e18); the Gaussian shot noise has none
+    out = tmp_path / "s"
+    assert main(["simulate", "--config", write_tiny_config(tmp_path), "--photons", photons,
+                 "--ff-noise", "1", "--out", str(out)]) == 0
+    assert math.isfinite(read_json(out / "simulate_deviation.json")["deviation"])
+
+
 def test_simulate_over_limit(tmp_path, capsys):
     out = tmp_path / "s"
     assert main(["simulate", "--model", "MT-NLG-530B", "--out", str(out)]) == 1
@@ -383,6 +393,15 @@ def test_profile_parse_errors(tmp_path, capsys):
     assert err.startswith("error:parse:")
     assert "must be a JSON object" in err
     assert not (tmp_path / "o" / "energy_manifest.json").exists()
+    for doc in ("[1]", '{"scaling": "table", "table": [1]}'):  # a policy, too
+        bad.write_text(doc)
+        assert main(["energy", "--model", "GPT2-117M", "--policy", str(bad),
+                     "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error:parse: policy file {bad}: policy")
+        assert "must be a JSON object" in err
+        assert err.count("\n") == 1
+    assert not (tmp_path / "o" / "energy_manifest.json").exists()
 
 
 @pytest.mark.parametrize("command", ["simulate", "sweep"])
@@ -443,6 +462,8 @@ def test_missing_config_file(tmp_path, capsys):
     ["energy", "--baseline", "-1"],
     ["energy", "--baseline", "0"],
     ["energy", "--baseline", "abc"],
+    ["simulate", "--ff-noise", "abc"],
+    ["simulate", "--attn-noise", "abc"],
 ])
 def test_bad_numeric_inputs_are_usage_errors(tmp_path, capsys, argv):
     out = tmp_path / "o"

@@ -3,12 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from photonsim import (EmaState, LookupTable, NoiseSpec, QuantizerSpec, apply_shot_noise,
                        apply_systematic_noise, derive_rng, derive_seed, empirical_snr,
                        four_pass_decompose, load_lut, lut_synthesize, optical_matmul,
                        quantize, recombine, save_lut)
-from photonsim.optics import _snap_deterministic
+from photonsim.optics import (GAUSSIAN_SHOT_PHOTONS, MAX_SNAP_BINS, _breakpoints,
+                              _snap_by_table, _snap_deterministic, lut_snap)
 
 
 # --------------------------------------------------------------------------
@@ -179,6 +181,82 @@ def test_snap_deterministic_matches_reference(levels):
     assert _snap_deterministic(np.float64(0.3), levels) == _snap_reference(0.3, levels)
 
 
+def _snap_inputs(levels, breakpoints, bins, extra):
+    """Values that probe every branch of the snap: the levels, their midpoints,
+    the breakpoints, bin edges, the floats next to each, specials and values
+    outside [0, 1]."""
+    edges = np.arange(0, bins, max(1, bins // 512)) / bins
+    midpoints = (levels[:-1] + levels[1:]) / 2
+    base = np.concatenate([levels, midpoints, breakpoints, edges, np.asarray(extra, dtype=float),
+                           [-np.inf, -1.0, -0.0, 0.0, 1.0, 1.5, np.inf, np.nan]])
+    return np.concatenate([base, np.nextafter(base, -np.inf), np.nextafter(base, np.inf)])
+
+
+def _assert_same_snap(got, want):
+    assert got.tobytes() == want.tobytes()
+    assert got.shape == want.shape and got.strides == want.strides
+
+
+@settings(max_examples=100, deadline=None)
+@given(points=st.lists(st.floats(0.0, 1.0), max_size=40),
+       close=st.lists(st.floats(0.0, 1.0), max_size=3),
+       extra=st.lists(st.floats(-0.5, 1.5), max_size=20))
+def test_binned_snap_matches_binary_search(points, close, extra):
+    # `close` adds runs of three levels one ulp apart, whose two breakpoints
+    # no table of at most MAX_SNAP_BINS bins separates: those LUTs fall back
+    # to the binary search
+    close = np.asarray(close)
+    levels = np.concatenate([points, close, np.nextafter(close, 2.0),
+                             np.nextafter(np.nextafter(close, 2.0), 2.0), [1.0]])
+    lut = LookupTable(levels=np.unique(levels[levels <= 1.0]))
+    levels, table = lut.unique_levels, lut.snap_table
+    breakpoints = _breakpoints(levels)
+    # each breakpoint is the first value snapped to its level
+    assert np.array_equal(_snap_deterministic(breakpoints, levels), levels[1:])
+    assert np.all(_snap_deterministic(np.nextafter(breakpoints, -1.0), levels) < levels[1:])
+    if table is None:
+        assert np.diff(breakpoints).min() < 1.0 / MAX_SNAP_BINS
+        return
+    bins = table.breakpoint.size
+    assert bins & (bins - 1) == 0 and bins <= MAX_SNAP_BINS
+    x = _snap_inputs(levels, breakpoints, bins, extra)
+    _assert_same_snap(_snap_by_table(x, table), _snap_deterministic(x, levels))
+    assert _snap_by_table(x, table).tobytes() == _snap_reference(x, levels).tobytes()
+    square = x[: (x.size // 6) * 6].reshape(6, -1)
+    for layout in (square, np.asfortranarray(square), square[:, ::2], square.T):
+        _assert_same_snap(_snap_by_table(layout, table),
+                          _snap_deterministic(layout, levels))
+    for value in (x[0], x[-1], np.float64(np.nan), np.float64(-np.inf)):
+        got = _snap_by_table(value, table)
+        _assert_same_snap(got, _snap_deterministic(value, levels))
+        assert got.shape == ()
+
+
+@pytest.mark.parametrize("lut,has_table", [
+    (lut_synthesize(128, 256, floor=0.004), True),
+    (lut_synthesize(32, 256, floor=0.0), True),
+    (lut_synthesize(1, 4), True),
+    (LookupTable(levels=np.array([0.0, 0.25, 0.25 + 1e-12, 0.25 + 2e-12, 1.0])), False),
+], ids=["synthesized", "no-floor", "single", "fallback"])
+def test_quantize_lut_matches_binary_search(lut, has_table):
+    # the LUT path of quantize, through the snap table, against the binary
+    # search on the same layout
+    spec = QuantizerSpec(mode="lut")
+    assert (lut.snap_table is not None) == has_table
+    rng = derive_rng(21)
+    for values in (rng.normal(size=(40, 30)), rng.normal(size=(30, 40)).T,
+                   rng.normal(size=(40, 60))[:, ::2], np.array([[0.0, -0.0, 1e-300, -2.0]]),
+                   np.array([[1.0, np.inf, -1.0]]), np.array([[np.nan, 1.0]])):
+        magnitudes = np.abs(values)
+        scale = magnitudes.max()
+        with np.errstate(invalid="ignore"):  # inf / inf and NaN
+            normalized = np.minimum(magnitudes / scale, 1.0)
+            want = np.sign(values) * _snap_deterministic(normalized, lut.unique_levels)
+            want *= scale
+            got = quantize(values, spec, lut=lut)
+        _assert_same_snap(got, want)
+
+
 def test_quantize_scalar_input():
     lut = lut_synthesize(8, 8)
     assert quantize(0.0, QuantizerSpec(mode="lut"), lut=lut) == 0.0
@@ -292,6 +370,19 @@ def test_four_pass_recombines_exactly():
                            rtol=1e-12, atol=1e-12)
 
 
+def test_four_pass_split_matches_where():
+    # the sign split gives +0.0 for zeros of either sign and for NaN, like
+    # np.where, and keeps the operand's layout
+    a = np.array([[-0.0, 0.0, np.nan, np.inf], [-np.inf, 1.5, -2.5, 5e-324]])
+    for layout in (a, np.asfortranarray(a), a[:, ::-1], a[:, ::2]):
+        ops = four_pass_decompose(layout, layout.T)
+        for got, want in ((ops.w_pos, np.where(layout > 0, layout, 0.0)),
+                          (ops.w_neg, np.where(layout < 0, -layout, 0.0)),
+                          (ops.x_pos, np.where(layout.T > 0, layout.T, 0.0)),
+                          (ops.x_neg, np.where(layout.T < 0, -layout.T, 0.0))):
+            assert got.tobytes() == want.tobytes() and got.strides == want.strides
+
+
 def test_four_pass_shape_validation():
     with pytest.raises(ValueError):
         four_pass_decompose(np.ones((2, 3)), np.ones((4, 2)))
@@ -341,6 +432,18 @@ def test_shot_noise_edge_cases():
         apply_shot_noise(outputs, 0.0, 1)
     with pytest.raises(ValueError):
         apply_shot_noise(outputs, 100.0, 0)
+
+
+def test_shot_noise_tiny_intensities():
+    # with a mean below about 1e-305, photons / mean overflows; the draw is
+    # then scaled through the mean, and stays within numpy's Poisson limit
+    outputs = np.array([1e-310, 3e-310, 0.0, 2e-310])
+    noisy = apply_shot_noise(outputs, 100.0, 1, seed=derive_rng(31))
+    assert np.all(np.isfinite(noisy)) and noisy[2] == 0.0
+    assert 0 < noisy.sum() < 10 * outputs.sum()
+    w = np.full((3, 4), 1e-160)
+    out = optical_matmul(w, w.T, NoiseSpec(photons_per_mac=10.0), seed=derive_rng(32))
+    assert np.all(np.isfinite(out)) and np.all(out >= 0)
 
 
 def test_shot_noise_deterministic_with_seed():
@@ -456,6 +559,102 @@ def test_optical_matmul_shot_noise_scales_with_budget():
     shared = mean_err(1000.0, "shared")
     assert poor > 3 * rich       # ~sqrt(100)x noisier
     assert shared > rich         # splitting the budget always hurts
+
+
+def _four_pass_poisson(w, x, photons_per_mac, rng):
+    """optical_matmul's shot noise written out plainly: four sign-split passes,
+    each Poisson-sampled, recombined with signs (the reference path)."""
+    w_pos, w_neg = np.where(w > 0, w, 0.0), np.where(w < 0, -w, 0.0)
+    x_pos, x_neg = np.where(x > 0, x, 0.0), np.where(x < 0, -x, 0.0)
+    product = np.zeros((w.shape[0], x.shape[1]))
+    for left, right, sign in ((w_pos, x_pos, 1.0), (w_neg, x_pos, -1.0),
+                              (w_pos, x_neg, -1.0), (w_neg, x_neg, 1.0)):
+        term = apply_shot_noise(left @ right, photons_per_mac, w.shape[1], seed=rng)
+        product = product + sign * term
+    return product
+
+
+@pytest.mark.parametrize("photons,percent,luts,shape", [
+    (0.5, 0.0, False, (6, 8, 5)),
+    (10.0, 2.0, True, (12, 64, 9)),
+    (GAUSSIAN_SHOT_PHOTONS / 16 * (1 - 1e-12), 1.0, True, (5, 16, 7)),
+    (1.0, 0.0, True, (40, 128, 30)),
+])
+def test_optical_matmul_below_threshold_is_the_poisson_path(photons, percent, luts, shape):
+    m, k, p = shape
+    assert photons * k < GAUSSIAN_SHOT_PHOTONS
+    rng = derive_rng(22, k)
+    w = rng.normal(size=(k, m)).T  # F order, as the backend hands operands over
+    x = rng.normal(size=(p, k)).T
+    w[0] = 0.0
+    x[:, 0] = -0.0
+    in_lut = lut_synthesize(32, 256, floor=0.004) if luts else None
+    w_lut = lut_synthesize(128, 256, floor=0.002) if luts else None
+    noise = NoiseSpec(systematic_percent_ff=percent, photons_per_mac=photons)
+    got_rng, want_rng = derive_rng(23, k), derive_rng(23, k)
+    got = optical_matmul(w, x, noise, input_lut=in_lut, weight_lut=w_lut, seed=got_rng)
+    if luts:
+        w, x = lut_snap(w, w_lut), lut_snap(x, in_lut)
+    want = apply_systematic_noise(_four_pass_poisson(w, x, photons, want_rng), percent,
+                                  seed=want_rng)
+    assert got.tobytes() == want.tobytes() and got.strides == want.strides
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def test_optical_matmul_gaussian_matches_poisson_statistics():
+    # 64x128 @ 128x96: 1280 to 128000 photons per output, all on the Gaussian
+    # path; the Poisson reference runs at the same budgets
+    rng = derive_rng(24)
+    w = rng.normal(size=(64, 128))
+    x = rng.normal(size=(128, 96))
+    clean = w @ x
+    trials = 60
+    scaled_std = []
+    for photons in (10.0, 100.0, 1000.0):
+        assert photons * 128 >= GAUSSIAN_SHOT_PHOTONS
+        noise = NoiseSpec(photons_per_mac=photons)
+        gauss = np.stack([optical_matmul(w, x, noise, seed=derive_rng(25, int(photons), t))
+                          - clean for t in range(trials)])
+        poisson = np.stack([_four_pass_poisson(w, x, photons, derive_rng(26, int(photons), t))
+                            - clean for t in range(trials)])
+        for err in (gauss, poisson):
+            assert abs(err.mean()) < 5 * err.std() / math.sqrt(err.size)
+        assert gauss.std() == pytest.approx(poisson.std(), rel=0.02)
+        scaled_std.append(gauss.std() * math.sqrt(photons))
+    # SNR grows as the square root of the photon budget
+    assert scaled_std[0] == pytest.approx(scaled_std[1], rel=0.02)
+    assert scaled_std[0] == pytest.approx(scaled_std[2], rel=0.02)
+
+
+def test_optical_matmul_gaussian_variance_per_output():
+    # each output's variance is sum(p_i * mean(p_i)) / (photons * K) over the
+    # four non-negative passes, as for four independent Poisson readouts
+    rng = derive_rng(27)
+    w = rng.normal(size=(8, 32))
+    x = rng.normal(size=(32, 6))
+    photons = 50.0
+    ops = four_pass_decompose(w, x)
+    passes = [left @ right for left, right, _ in ops.passes()]
+    expected = sum(p * p.mean() for p in passes) / (photons * 32)
+    noise = NoiseSpec(photons_per_mac=photons)
+    samples = np.stack([optical_matmul(w, x, noise, seed=derive_rng(28, t))
+                        for t in range(4000)])
+    assert samples.mean(axis=0) == pytest.approx(w @ x, abs=5 * math.sqrt(expected.max() / 4000))
+    ratio = samples.var(axis=0, ddof=1) / expected
+    assert ratio.mean() == pytest.approx(1.0, rel=0.02)
+    assert np.all(np.abs(ratio - 1.0) < 0.15)
+
+
+@pytest.mark.parametrize("photons", [1e17, 1e308])
+def test_optical_matmul_huge_photon_budget(photons):
+    # numpy's Poisson sampler rejects means above about 9.2e18; the Gaussian
+    # path has no such limit, and its noise vanishes as the budget grows
+    rng = derive_rng(29)
+    w = rng.normal(size=(16, 64))
+    x = rng.normal(size=(64, 8))
+    out = optical_matmul(w, x, NoiseSpec(photons_per_mac=photons), seed=derive_rng(30))
+    assert np.all(np.isfinite(out))
+    assert out == pytest.approx(w @ x, rel=1e-6, abs=1e-6)
 
 
 def test_optical_matmul_validation():
