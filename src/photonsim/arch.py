@@ -9,13 +9,31 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import MISSING, dataclass, fields
+from functools import cached_property, lru_cache
 
 # The weight matrices each layer keeps resident on the optical hardware, as
 # (product class, rows, cols) with rows and cols in units of d, in the order
 # init_weights draws them. Each is the right operand of its class's product.
 WEIGHT_MATRICES = (("qkv", 1, 3), ("out_proj", 1, 1), ("ff1", 1, 4), ("ff2", 4, 1))
+
+
+def json_fields(doc, cls, kind: str, **defaults) -> dict:
+    """The fields of dataclass `cls` given by the JSON object `doc` (text or
+    parsed) over `defaults`. A ValueError names a `doc` that is not an object
+    (calling it `kind`), a key that is no field, and a field left without value."""
+    data = json.loads(doc) if isinstance(doc, str) else doc
+    if not isinstance(data, dict):
+        raise ValueError(f"{kind} must be a JSON object, got {type(data).__name__}")
+    known = {f.name: f for f in fields(cls)}
+    for key in data:
+        if key not in known:
+            raise ValueError(f"unknown field '{key}'")
+    data = {**defaults, **data}
+    for name, f in known.items():
+        if name not in data and f.default is MISSING and f.default_factory is MISSING:
+            raise ValueError(f"missing field '{name}'")
+    return data
 
 
 @dataclass(frozen=True)
@@ -37,10 +55,22 @@ class ModelConfig:
     L: int
 
     def __post_init__(self) -> None:
+        if not isinstance(self.name, str):
+            raise ValueError(f"name must be a string, got {self.name!r}")
         for field in ("n", "d", "h", "L"):
             value = getattr(self, field)
             if type(value) is not int or value <= 0:  # bool is an int subclass
                 raise ValueError(f"{field} must be a positive integer, got {value!r}")
+
+    @classmethod
+    def from_json(cls, doc: str | dict, **defaults) -> "ModelConfig":
+        """A config from the JSON object {name, n, d, h, L} (text or parsed);
+        `defaults` give the value of a missing field."""
+        return cls(**json_fields(doc, cls, "model config", **defaults))
+
+    def to_json_dict(self) -> dict:
+        """The JSON object that `from_json` reads."""
+        return {"name": self.name, "n": self.n, "d": self.d, "h": self.h, "L": self.L}
 
     @property
     def head_dim(self) -> int:
@@ -126,13 +156,14 @@ def product_counts(n: int, d: int, k: int, weights_in_place: bool = False) -> Pr
     return ProductCounts(macs=n * d * k, loads=loads, detects=n * k)
 
 
+@lru_cache(maxsize=256)  # a catalogue's reports and chunking scenarios ask per model
 def compute_breakdown(config: ModelConfig) -> ComputeBreakdown:
     """Per-layer MAC and scalar-traffic counts for every product class.
 
     The WEIGHT_MATRICES stay in place on the optical hardware, so only their
     activations are loaded. Both attention products stream two activation
     operands; their counts are closed forms over all h heads, which need not
-    divide d.
+    divide d. Calls with equal configs share one result: do not modify it.
     """
     n, d, h = config.n, config.d, config.h
     products = dict.fromkeys(PRODUCT_CLASSES)  # fixes the key order
@@ -223,24 +254,23 @@ def builtin_catalogue() -> list[ModelConfig]:
     return [ModelConfig(name, n, d, h, L) for name, n, d, h, L in _CATALOGUE_ROWS]
 
 
-def load_catalogue(path: str | os.PathLike) -> list[ModelConfig]:
-    """Read a JSON catalogue: an array of {name, n, d, h, L} objects."""
-    with open(path, encoding="utf-8") as fh:
-        rows = json.load(fh)
+def catalogue_from_json(text: str) -> list[ModelConfig]:
+    """A catalogue from the text of a JSON array of {name, n, d, h, L} objects."""
+    rows = json.loads(text)
     if not isinstance(rows, list):
         raise ValueError(f"catalogue must be a JSON array, got {type(rows).__name__}")
-    configs = []
-    for row in rows:
-        try:
-            configs.append(ModelConfig(row["name"], row["n"], row["d"], row["h"], row["L"]))
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"bad catalogue row {row!r}: {exc}") from exc
-    return configs
+    return [ModelConfig.from_json(row) for row in rows]
+
+
+def load_catalogue(path: str | os.PathLike) -> list[ModelConfig]:
+    """Read a JSON catalogue file (see `catalogue_from_json`)."""
+    with open(path, encoding="utf-8") as fh:
+        return catalogue_from_json(fh.read())
 
 
 def save_catalogue(path: str | os.PathLike, configs: list[ModelConfig]) -> None:
     """Write a JSON catalogue in the same array-of-objects format."""
-    rows = [{"name": c.name, "n": c.n, "d": c.d, "h": c.h, "L": c.L} for c in configs]
+    rows = [c.to_json_dict() for c in configs]
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(rows, fh, indent=2)
         fh.write("\n")

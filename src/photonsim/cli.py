@@ -11,7 +11,6 @@ import argparse
 import csv
 import io
 import itertools
-import json
 import math
 import os
 import sys
@@ -21,12 +20,12 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from . import __version__
-from .arch import (ModelConfig, builtin_catalogue, compute_breakdown, find_model,
-                   hardware_requirements, load_catalogue)
+from .arch import (ModelConfig, builtin_catalogue, catalogue_from_json, compute_breakdown,
+                   find_model, hardware_requirements)
 from .energy import (ChunkingScenario, DIGITAL_BASELINES, HardwareProfile, PhotonPolicy,
                      chunked_gpu_energy, chunked_onn_energy, default_policy,
                      default_profile, future_profile, total_energy)
-from .optics import NoiseSpec, load_lut
+from .optics import NoiseSpec, lut_from_csv
 from .txsim import (DigitalBackend, OpticalBackend, deviation, forward, init_weights,
                     make_input, noise_sweep, trace_to_json_dict)
 
@@ -44,6 +43,38 @@ class CliError(Exception):
 
 def _usage(message: str) -> CliError:
     return CliError("usage", message, code=2)
+
+
+def _number(name: str, rule: str, valid, cast=float, many: bool = False):
+    """The parser of numeric input `name`: a `cast` value passing `valid`, which
+    `rule` describes, or with `many` a comma-separated list of them. As an
+    argparse type it raises a CliError, which argparse lets reach main()."""
+    def one(text: str, label: str = name):
+        try:
+            value = cast(text)
+        except ValueError:
+            value = math.nan  # rejected below like any other invalid value
+        if not valid(value):
+            raise _usage(f"{label} must be {rule}, got {text}")
+        return value
+
+    def parse(text: str):
+        if not many:
+            return one(text)
+        items = [part.strip() for part in text.split(",") if part.strip()]
+        if not items:
+            raise _usage(f"{name} must be a non-empty comma-separated list")
+        return [one(item, f"each {name} value") for item in items]
+    return parse
+
+
+_SEED = ("a non-negative integer", lambda v: v >= 0, int)
+_NON_NEGATIVE = ("finite and >= 0", lambda v: 0 <= v < math.inf)
+_POSITIVE = ("finite and > 0", lambda v: 0 < v < math.inf)
+_PHOTONS = _number("--photons", "> 0 or 'inf'", lambda v: v > 0)
+_LAST_EPOCH = 253402300799  # 9999-12-31T23:59:59Z
+_EPOCH = _number("SOURCE_DATE_EPOCH", f"an integer in [0, {_LAST_EPOCH}]",
+                 lambda v: 0 <= v <= _LAST_EPOCH, int)
 
 
 # --------------------------------------------------------------------------
@@ -152,16 +183,16 @@ def write_csv(path: str, header: list[str], rows) -> None:
 def _timestamp() -> str:
     # honors SOURCE_DATE_EPOCH so archived runs can be byte-reproducible
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
-    t = int(epoch) if epoch else int(time.time())
+    t = _EPOCH(epoch) if epoch else int(time.time())
     return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(t))
 
 
 def write_manifest(out_dir: str, command: str, seed: int, resolved: dict,
-                   outputs: list[str]) -> str:
+                   outputs: list[str], timestamp: str) -> str:
     path = os.path.join(out_dir, f"{command}_manifest.json")
     write_json(path, {"command": command, "seed": seed, "resolved": resolved,
                       "outputs": sorted(os.path.basename(p) for p in outputs),
-                      "version": __version__, "timestamp": _timestamp()})
+                      "version": __version__, "timestamp": timestamp})
     return path
 
 
@@ -180,7 +211,8 @@ def _emit(args, command: str, resolved: dict, files: dict, written=()) -> list[s
         else:
             write_json(path, payload)
         outputs.append(path)
-    outputs.append(write_manifest(args.out, command, args.seed, resolved, outputs))
+    outputs.append(write_manifest(args.out, command, args.seed, resolved, outputs,
+                                  args.timestamp))
     return outputs
 
 
@@ -188,26 +220,24 @@ def _emit(args, command: str, resolved: dict, files: dict, written=()) -> list[s
 # Shared resolution
 
 
+def _read(kind: str, path: str, reader):
+    """`reader` applied to the text of the `kind` file at `path`. A file that
+    cannot be opened or read is an io error; text that `reader` rejects (a
+    ValueError such as JSONDecodeError, a KeyError or a TypeError) a parse error."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return reader(fh.read())
+    except OSError as exc:
+        raise CliError("io", f"{kind} file {path}: {exc}")
+    except (ValueError, KeyError, TypeError) as exc:
+        raise CliError("parse", f"{kind} file {path}: {exc}")
+
+
 def _get_catalogue() -> tuple[list[ModelConfig], str]:
     env_path = os.environ.get(CATALOGUE_ENV)
     if env_path:
-        try:
-            return load_catalogue(env_path), env_path
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
-            raise CliError("parse", f"catalogue file {env_path}: {exc}")
+        return _read("catalogue", env_path, catalogue_from_json), env_path
     return builtin_catalogue(), "builtin"
-
-
-def _load_config_file(path: str) -> ModelConfig:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        return ModelConfig(doc.get("name", os.path.basename(path)),
-                           doc["n"], doc["d"], doc["h"], doc["L"])
-    except FileNotFoundError as exc:
-        raise CliError("io", f"config file {path}: {exc}")
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-        raise CliError("parse", f"config file {path}: {exc}")
 
 
 def _resolve_models(args, require_one: bool = False) -> tuple[list[ModelConfig], dict]:
@@ -215,7 +245,8 @@ def _resolve_models(args, require_one: bool = False) -> tuple[list[ModelConfig],
     if getattr(args, "all", False):
         return catalogue, {"models": "all", "catalogue": source}
     if args.config:
-        config = _load_config_file(args.config)
+        name = os.path.basename(args.config)
+        config = _read("config", args.config, lambda text: ModelConfig.from_json(text, name=name))
         return [config], {"models": [config.name], "config_file": args.config}
     if args.model:
         try:
@@ -228,94 +259,35 @@ def _resolve_models(args, require_one: bool = False) -> tuple[list[ModelConfig],
     raise _usage("provide --model NAME, --config FILE, or --all")
 
 
-def _read_json_file(kind: str, path: str, from_json):
-    """`from_json` applied to the text of the --profile or --policy file."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return from_json(fh.read())
-    except (OSError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
-        raise CliError("parse", f"{kind} file {path}: {exc}")
-
-
 def _pricing_from_args(args, resolved: dict) -> tuple[HardwareProfile, PhotonPolicy]:
     """Hardware profile and photon policy, recorded in `resolved`."""
-    profile = (_read_json_file("profile", args.profile, HardwareProfile.from_json)
+    profile = (_read("profile", args.profile, HardwareProfile.from_json)
                if args.profile else default_profile())
     resolved["profile"] = args.profile or "default"
     if getattr(args, "future", False):
         profile = future_profile(profile)
         resolved["future"] = True
-    policy = (_read_json_file("policy", args.policy, PhotonPolicy.from_json)
+    policy = (_read("policy", args.policy, PhotonPolicy.from_json)
               if args.policy else default_policy())
     resolved["policy"] = args.policy or "default"
     return profile, policy
 
 
-def _parse_float_list(text: str, flag: str, valid, rule: str) -> list[float]:
-    """Comma-separated floats, each passing `valid`, which `rule` describes."""
-    items = [part.strip() for part in text.split(",") if part.strip()]
-    if not items:
-        raise _usage(f"{flag} must be a non-empty comma-separated list")
-    try:
-        values = [float(v) for v in items]
-    except ValueError as exc:
-        raise _usage(f"{flag}: {exc}")
-    if not all(map(valid, values)):
-        raise _usage(f"{flag} values must be {rule}")
-    return values
-
-
-def _is_percent(value: float) -> bool:
-    return 0 <= value < math.inf
-
-
-def _checked_float(flag: str, valid, rule: str):
-    """A parser of `flag`'s value: a float passing `valid`, which `rule`
-    describes. As an argparse type it raises the CliError like _parse_seed."""
-    def parse(text: str) -> float:
-        try:
-            value = float(text)
-        except ValueError:
-            value = math.nan  # rejected below like any other invalid value
-        if not valid(value):
-            raise _usage(f"{flag} must be {rule}, got {text}")
-        return value
-    return parse
-
-
-def _parse_seed(text: str) -> int:
-    """--seed's type. argparse reports only its own exception types, so the
-    CliError raised here reaches main() like any other usage error."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1  # rejected below like any other negative value
-    if value < 0:
-        raise _usage(f"--seed must be a non-negative integer, got {text}")
-    return value
-
-
-def _parse_photons(text: str) -> float:
-    if text.lower() in ("inf", "none", ""):
-        return math.inf
-    return _checked_float("--photons", lambda v: v > 0, "> 0 or 'inf'")(text)
-
-
-def _simulation_inputs(args) -> tuple[ModelConfig, dict, tuple, float]:
-    """Model, LUTs and photons per MAC shared by `simulate` and `sweep`."""
+def _simulation_inputs(args, noise: dict) -> tuple[ModelConfig, dict, tuple, float]:
+    """Model, LUTs and photons per MAC shared by `simulate` and `sweep`. The
+    resolved inputs record the command's `noise` settings ahead of them."""
     models, resolved = _resolve_models(args, require_one=True)
+    resolved.update(noise, photons=args.photons, input_lut=args.input_lut,
+                    weight_lut=args.weight_lut)
     config = models[0]
     if config.n * config.d > DESK_SCALE_LIMIT and not args.allow_large:
         raise CliError(
             "over_limit",
             f"n*d = {config.n * config.d} exceeds the desk-scale limit {DESK_SCALE_LIMIT}; "
             f"simulation would materialize full weights (pass --allow-large to override)")
-    try:
-        luts = tuple(load_lut(path) if path else None
-                     for path in (args.input_lut, args.weight_lut))
-    except (OSError, ValueError) as exc:
-        raise CliError("parse", f"LUT file: {exc}")
-    return config, resolved, luts, _parse_photons(args.photons)
+    luts = tuple(_read(f"{side} LUT", path, lut_from_csv) if path else None
+                 for side, path in (("input", args.input_lut), ("weight", args.weight_lut)))
+    return config, resolved, luts, _PHOTONS(args.photons)
 
 
 # --------------------------------------------------------------------------
@@ -369,17 +341,15 @@ def cmd_requirements(args) -> list[str]:
 def cmd_chunking(args) -> list[str]:
     models, resolved = _resolve_models(args)
     profile, policy = _pricing_from_args(args, resolved)
-    memories = _parse_float_list(args.memory, "--memory", lambda m: m > 0, "> 0")
-    batches = _parse_float_list(args.batch, "--batch", lambda b: b >= 1, ">= 1")
-    resolved.update({"memory": memories, "batch": batches,
+    resolved.update({"memory": args.memory, "batch": args.batch,
                      "dram_j_per_bit": args.dram_j_per_bit})
 
     a100 = DIGITAL_BASELINES["a100"]
     rows = []
     for model in models:
         macs = compute_breakdown(model).total_macs
-        for memory in memories:
-            for batch in batches:
+        for memory in args.memory:
+            for batch in args.batch:
                 scenario = ChunkingScenario(memory_capacity_weights=memory, batch_size=batch)
                 onn = chunked_onn_energy(model, profile, policy, scenario).total()
                 gpu = chunked_gpu_energy(model, a100, scenario, args.dram_j_per_bit)
@@ -395,20 +365,19 @@ def cmd_chunking(args) -> list[str]:
 
 
 def cmd_simulate(args) -> list[str]:
-    config, resolved, (input_lut, weight_lut), photons = _simulation_inputs(args)
+    config, resolved, (input_lut, weight_lut), photons = _simulation_inputs(
+        args, {"ff_noise": args.ff_noise, "attn_noise": args.attn_noise})
     noise = NoiseSpec(systematic_percent_ff=args.ff_noise,
                       systematic_percent_attn=args.attn_noise,
                       photons_per_mac=photons, seed=args.seed)
-    resolved.update({"ff_noise": args.ff_noise, "attn_noise": args.attn_noise,
-                     "photons": args.photons, "input_lut": args.input_lut,
-                     "weight_lut": args.weight_lut})
 
     weights = init_weights(config, args.seed)
     x = make_input(config, args.seed)
-    digital = forward(config, weights, x, DigitalBackend())
-    optical = forward(config, weights, x,
-                      OpticalBackend(noise, input_lut=input_lut, weight_lut=weight_lut))
-    dev = deviation(optical.final, digital.final)
+    with np.errstate(over="raise", invalid="raise"):  # main() reports FloatingPointError
+        digital = forward(config, weights, x, DigitalBackend())
+        optical = forward(config, weights, x,
+                          OpticalBackend(noise, input_lut=input_lut, weight_lut=weight_lut))
+        dev = deviation(optical.final, digital.final)
 
     # one trace document in memory at a time: they dominate peak RSS
     os.makedirs(args.out or ".", exist_ok=True)
@@ -427,29 +396,23 @@ def cmd_simulate(args) -> list[str]:
         },
         "simulate_deviation.csv": (
             ["model", "ff_percent", "attn_percent", "seed", "deviation"],
-            [[config.name, float(args.ff_noise), float(args.attn_noise), args.seed, dev]]),
+            [[config.name, args.ff_noise, args.attn_noise, args.seed, dev]]),
     }, written=traces)
 
 
 def cmd_sweep(args) -> list[str]:
-    config, resolved, (input_lut, weight_lut), photons = _simulation_inputs(args)
-    ff_grid = _parse_float_list(args.ff_grid, "--ff-grid", _is_percent, "finite and >= 0")
-    attn_grid = _parse_float_list(args.attn_grid, "--attn-grid", _is_percent, "finite and >= 0")
-    seeds = [int(s) for s in _parse_float_list(args.seeds, "--seeds",
-                                                lambda s: s.is_integer() and s >= 0,
-                                                "non-negative integers")]
-    resolved.update({"ff_grid": ff_grid, "attn_grid": attn_grid, "seeds": seeds,
-                     "photons": args.photons, "input_lut": args.input_lut,
-                     "weight_lut": args.weight_lut})
+    config, resolved, (input_lut, weight_lut), photons = _simulation_inputs(
+        args, {"ff_grid": args.ff_grid, "attn_grid": args.attn_grid, "seeds": args.seeds})
 
     weights = init_weights(config, args.seed)
     x = make_input(config, args.seed)
-    surfaces = noise_sweep(config, weights, x, ff_grid, attn_grid, photons=photons,
-                           seed=seeds, input_lut=input_lut, weight_lut=weight_lut)
+    with np.errstate(over="raise", invalid="raise"):  # main() reports FloatingPointError
+        surfaces = noise_sweep(config, weights, x, args.ff_grid, args.attn_grid, photons=photons,
+                               seed=args.seeds, input_lut=input_lut, weight_lut=weight_lut)
     rows = []
-    for seed, surface in zip(seeds, surfaces):
-        for i, ff in enumerate(ff_grid):
-            for j, attn in enumerate(attn_grid):
+    for seed, surface in zip(args.seeds, surfaces):
+        for i, ff in enumerate(args.ff_grid):
+            for j, attn in enumerate(args.attn_grid):
                 rows.append([ff, attn, seed, float(surface[i, j])])
 
     print(f"{config.name}: {len(rows)} sweep cells written")
@@ -466,8 +429,7 @@ def cmd_catalogue(args) -> list[str]:
     for row in rows:
         print(f"{row[0]}: n={row[1]} d={row[2]} h={row[3]} L={row[4]} params={row[5]}")
     return _emit(args, "catalogue", {"catalogue": source}, {
-        "catalogue.json": [{"name": c.name, "n": c.n, "d": c.d, "h": c.h, "L": c.L}
-                           for c in catalogue],
+        "catalogue.json": [c.to_json_dict() for c in catalogue],
         "catalogue.csv": (["name", "n", "d", "h", "L", "params"], rows),
     })
 
@@ -489,7 +451,8 @@ def build_parser() -> argparse.ArgumentParser:
         return argparse.ArgumentParser(add_help=False, allow_abbrev=False)
 
     common = group()
-    common.add_argument("--seed", type=_parse_seed, default=0, help="RNG seed (u64)")
+    common.add_argument("--seed", type=_number("--seed", *_SEED), default=0,
+                        help="RNG seed (u64)")
     common.add_argument("--out", default=".", help="output directory (default: cwd)")
     common.add_argument("--format", choices=("json", "csv", "both"), default="both")
     models = group()
@@ -515,33 +478,36 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("energy", cmd_energy, [models, costing, pricing],
                 "per-inference energy report and advantage")
     p.add_argument("--future", action="store_true", help="apply the future-electronics profile")
-    p.add_argument("--baseline", default=None,
-                   type=_checked_float("--baseline", lambda v: 0 < v < math.inf, "finite and > 0"),
+    p.add_argument("--baseline", default=None, type=_number("--baseline", *_POSITIVE),
                    help="extra digital baseline in J/MAC")
 
     p = command("requirements", cmd_requirements, [models, costing],
                 "hardware requirement table")
-    p.add_argument("--core-size", default=1e7,
-                   type=_checked_float("--core-size", lambda v: 0 < v < math.inf, "finite and > 0"),
+    p.add_argument("--core-size", default=1e7, type=_number("--core-size", *_POSITIVE),
                    help="weights per MVM core (default 1e7)")
 
     p = command("chunking", cmd_chunking, [models, costing, pricing],
                 "chunked weight-streaming advantage curves")
-    p.add_argument("--memory", default="1e8", help="comma list of weight-memory capacities")
-    p.add_argument("--batch", default="1", help="comma list of batch sizes")
+    p.add_argument("--memory", default="1e8", help="comma list of weight-memory capacities",
+                   type=_number("--memory", "> 0", lambda v: v > 0, many=True))
+    p.add_argument("--batch", default="1", help="comma list of batch sizes",
+                   type=_number("--batch", ">= 1", lambda v: v >= 1, many=True))
     p.add_argument("--dram-j-per-bit", default=1e-12,
-                   type=_checked_float("--dram-j-per-bit", _is_percent, "finite and >= 0"))
+                   type=_number("--dram-j-per-bit", *_NON_NEGATIVE))
 
     p = command("simulate", cmd_simulate, [models, simulation], "digital vs optical forward pass")
     p.add_argument("--ff-noise", default=0.0, help="systematic %% on FF products",
-                   type=_checked_float("--ff-noise", _is_percent, "finite and >= 0"))
+                   type=_number("--ff-noise", *_NON_NEGATIVE))
     p.add_argument("--attn-noise", default=0.0, help="systematic %% on attention products",
-                   type=_checked_float("--attn-noise", _is_percent, "finite and >= 0"))
+                   type=_number("--attn-noise", *_NON_NEGATIVE))
 
     p = command("sweep", cmd_sweep, [models, simulation], "noise-tolerance deviation surface")
-    p.add_argument("--ff-grid", default="0,1,2,5", help="comma list of FF noise percents")
-    p.add_argument("--attn-grid", default="0,1,2,5", help="comma list of attention noise percents")
-    p.add_argument("--seeds", default="0", help="comma list of seeds")
+    p.add_argument("--ff-grid", default="0,1,2,5", help="comma list of FF noise percents",
+                   type=_number("--ff-grid", *_NON_NEGATIVE, many=True))
+    p.add_argument("--attn-grid", default="0,1,2,5", help="comma list of attention noise percents",
+                   type=_number("--attn-grid", *_NON_NEGATIVE, many=True))
+    p.add_argument("--seeds", default="0", help="comma list of seeds",
+                   type=_number("--seeds", *_SEED, many=True))
 
     command("catalogue", cmd_catalogue, [], "list/export the model catalogue")
     return parser
@@ -550,18 +516,21 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        args.timestamp = _timestamp()  # a bad SOURCE_DATE_EPOCH fails before any work
         args.handler(args)
+        return 0
     except CliError as exc:
-        print(f"error:{exc.err_class}: {exc}", file=sys.stderr)
-        return exc.code
+        error = exc
     except MemoryError as exc:  # e.g. the weights of a model run with --allow-large
-        print(f"error:over_limit: out of memory: {str(exc) or 'allocation failed'}",
-              file=sys.stderr)
-        return 1
-    except (ValueError, KeyError, OSError) as exc:
-        print(f"error:internal: {exc}", file=sys.stderr)
-        return 1
-    return 0
+        error = CliError("over_limit", f"out of memory: {str(exc) or 'allocation failed'}")
+    except FloatingPointError as exc:  # a forward pass that left the float64 range means nothing
+        error = CliError("over_limit", f"the forward pass left the float64 range: {exc}")
+    except OSError as exc:  # an output that cannot be written
+        error = CliError("io", str(exc))
+    except (ValueError, KeyError) as exc:
+        error = CliError("internal", str(exc))
+    print(f"error:{error.err_class}: {error}", file=sys.stderr)
+    return error.code
 
 
 if __name__ == "__main__":

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, asdict, fields, replace
+from dataclasses import dataclass, asdict, replace
 
-from .arch import ModelConfig, compute_breakdown, PRODUCT_CLASSES, WEIGHT_MATRICES
+from .arch import ModelConfig, compute_breakdown, json_fields, PRODUCT_CLASSES, WEIGHT_MATRICES
 
 LAYER_CLASSES = PRODUCT_CLASSES + ("digital_fns",)
 CATEGORIES = ("electrical_load", "electrical_detect", "optical", "maintenance", "digital")
@@ -70,14 +70,7 @@ class HardwareProfile:
 
     @classmethod
     def from_json(cls, doc: str | dict) -> "HardwareProfile":
-        data = json.loads(doc) if isinstance(doc, str) else doc
-        if not isinstance(data, dict):
-            raise ValueError(f"profile must be a JSON object, got {type(data).__name__}")
-        known = {f.name for f in fields(cls)}
-        for key in data:
-            if key not in known:
-                raise ValueError(f"unknown field '{key}'")
-        return cls(**data)
+        return cls(**json_fields(doc, cls, "profile"))
 
 
 def default_profile() -> HardwareProfile:
@@ -142,10 +135,7 @@ class PhotonPolicy:
 
     @classmethod
     def from_json(cls, doc: str | dict) -> "PhotonPolicy":
-        data = json.loads(doc) if isinstance(doc, str) else doc
-        if not isinstance(data, dict):
-            raise ValueError(f"policy must be a JSON object, got {type(data).__name__}")
-        data = dict(data)  # "table" is rewritten below
+        data = json_fields(doc, cls, "policy")
         table = data.get("table")
         if table is not None:
             if not isinstance(table, dict):

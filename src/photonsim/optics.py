@@ -8,14 +8,17 @@ detector, and a mean-relative Gaussian systematic error.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import os
-from dataclasses import dataclass, asdict, field
+from dataclasses import dataclass, asdict
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
+
+from .arch import json_fields
 
 QUANTIZER_MODES = ("ema", "percentile", "lut")
 ROUNDING_MODES = ("deterministic", "stochastic")
@@ -125,26 +128,32 @@ def lut_synthesize(unique_levels: int, total_levels: int, floor: float = 0.0) ->
     return LookupTable(levels=table, floor=floor)
 
 
-def load_lut(path: str | os.PathLike) -> LookupTable:
-    """Read a LUT CSV (`level_index,value` rows, ascending index)."""
+def lut_from_csv(text: str) -> LookupTable:
+    """A LUT from CSV text: a `level_index,value` header, then rows of
+    ascending index."""
     values = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [c.strip() for c in header[:2]] != ["level_index", "value"]:
-            raise ValueError(f"{path}: expected header 'level_index,value'")
-        for i, row in enumerate(reader):
-            if len(row) < 2:
-                raise ValueError(f"{path}: row {i} needs 'level_index,value', got {row}")
-            if int(row[0]) != i:
-                raise ValueError(f"{path}: level_index must ascend from 0, got {row[0]} at row {i}")
-            values.append(float(row[1]))
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = next(reader, None)
+    if header is None or [c.strip() for c in header[:2]] != ["level_index", "value"]:
+        raise ValueError("expected header 'level_index,value'")
+    for i, row in enumerate(reader):
+        if len(row) < 2:
+            raise ValueError(f"row {i} needs 'level_index,value', got {row}")
+        if int(row[0]) != i:
+            raise ValueError(f"level_index must ascend from 0, got {row[0]} at row {i}")
+        values.append(float(row[1]))
     levels = np.asarray(values)
     if np.any(levels < 0) or np.any(levels > 1):
-        raise ValueError(f"{path}: values must lie in [0, 1]")
+        raise ValueError("values must lie in [0, 1]")
     nonzero = levels[levels > 0]
     floor = float(nonzero.min()) if nonzero.size else 0.0
     return LookupTable(levels=levels, floor=floor)
+
+
+def load_lut(path: str | os.PathLike) -> LookupTable:
+    """Read a LUT CSV file (see `lut_from_csv`)."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        return lut_from_csv(fh.read())
 
 
 def save_lut(path: str | os.PathLike, lut: LookupTable) -> None:
@@ -191,8 +200,7 @@ class QuantizerSpec:
 
     @classmethod
     def from_json(cls, doc: str | dict) -> "QuantizerSpec":
-        data = json.loads(doc) if isinstance(doc, str) else dict(doc)
-        return cls(**data)
+        return cls(**json_fields(doc, cls, "quantizer spec"))
 
 
 @dataclass
@@ -471,8 +479,9 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not (self.systematic_percent_ff >= 0 and self.systematic_percent_attn >= 0):
-            raise ValueError("systematic percentages must be >= 0")
+        if not all(0 <= p < math.inf for p in (self.systematic_percent_ff,
+                                                self.systematic_percent_attn)):
+            raise ValueError("systematic percentages must be finite and >= 0")
         if not self.photons_per_mac > 0:
             raise ValueError(f"photons_per_mac must be > 0 or inf, got {self.photons_per_mac}")
 
@@ -484,7 +493,7 @@ class NoiseSpec:
 
     @classmethod
     def from_json(cls, doc: str | dict) -> "NoiseSpec":
-        data = json.loads(doc) if isinstance(doc, str) else dict(doc)
+        data = json_fields(doc, cls, "noise spec")
         if data.get("photons_per_mac") in (None, "inf"):
             data["photons_per_mac"] = math.inf
         return cls(**data)

@@ -233,8 +233,7 @@ def noise_sweep(config: ModelConfig, weights: TransformerWeights, x,
 
 def trace_to_json_dict(trace: ForwardTrace, config: ModelConfig, seed: int) -> dict:
     return {
-        "config": {"name": config.name, "n": config.n, "d": config.d,
-                   "h": config.h, "L": config.L},
+        "config": config.to_json_dict(),
         "seed": seed,
         "post_attention": [a.tolist() for a in trace.post_attention],
         "post_ff": [a.tolist() for a in trace.post_ff],

@@ -1,10 +1,12 @@
 """Shape accounting: MAC/traffic counts, hardware sizing, model catalogue."""
+import json
 import math
 
 import numpy as np
 import pytest
 
-from photonsim import (DIGITAL_CLASSES, ModelConfig, PRODUCT_CLASSES, builtin_catalogue,
+from photonsim import (DIGITAL_CLASSES, HardwareProfile, ModelConfig, NoiseSpec,
+                       PRODUCT_CLASSES, PhotonPolicy, QuantizerSpec, builtin_catalogue,
                        compute_breakdown, find_model, hardware_requirements,
                        load_catalogue, product_counts, save_catalogue)
 
@@ -220,3 +222,69 @@ def test_load_catalogue_rejects_bad_shapes(tmp_path):
     path.write_text('[{"name": "x", "n": 4}]')
     with pytest.raises(ValueError):
         load_catalogue(path)
+
+
+def test_compute_breakdown_is_shared_by_equal_configs():
+    first = compute_breakdown(ModelConfig("t", 16, 64, 4, 2))
+    assert compute_breakdown(ModelConfig("t", 16, 64, 4, 2)) is first
+    assert compute_breakdown(ModelConfig("t", 16, 64, 4, 3)) is not first
+
+
+# --------------------------------------------------------------------------
+# JSON object readers
+
+ROW = {"name": "x", "n": 4, "d": 8, "h": 2, "L": 1}
+
+
+def read_catalogue_row(tmp_path, row):
+    path = tmp_path / "cat.json"
+    path.write_text(json.dumps([row]))
+    return load_catalogue(path)
+
+
+READERS = {
+    "profile": HardwareProfile.from_json,
+    "policy": PhotonPolicy.from_json,
+    "noise_spec": NoiseSpec.from_json,
+    "quantizer_spec": QuantizerSpec.from_json,
+    "model_config": ModelConfig.from_json,
+}
+
+
+@pytest.mark.parametrize("reader", READERS.values(), ids=READERS.keys())
+@pytest.mark.parametrize("doc", ["[1]", "1", '"text"', "null", [ROW], 2.5],
+                         ids=["list", "int", "string", "null", "parsed_list", "parsed_float"])
+def test_json_readers_reject_non_objects(reader, doc):
+    with pytest.raises(ValueError, match="must be a JSON object"):
+        reader(doc)
+
+
+@pytest.mark.parametrize("reader", READERS.values(), ids=READERS.keys())
+def test_json_readers_reject_unknown_fields(reader):
+    for doc in ('{"bogus": 1}', {"bogus": 1}):
+        with pytest.raises(ValueError, match="unknown field 'bogus'"):
+            reader(doc)
+
+
+@pytest.mark.parametrize("row, match", [
+    ([1], "must be a JSON object"),
+    (7, "must be a JSON object"),
+    (dict(ROW, bogus=1), "unknown field 'bogus'"),
+    ({"name": "x", "n": 4, "d": 8, "h": 2}, "missing field 'L'"),
+    (dict(ROW, name=5), "name must be a string"),
+], ids=["list", "int", "unknown", "missing", "name_not_string"])
+def test_load_catalogue_rejects_bad_rows(tmp_path, row, match):
+    with pytest.raises(ValueError, match=match):
+        read_catalogue_row(tmp_path, row)
+
+
+def test_model_config_json_form():
+    config = ModelConfig.from_json(json.dumps(ROW))
+    assert config == ModelConfig("x", 4, 8, 2, 1)
+    assert config.to_json_dict() == ROW
+    assert list(config.to_json_dict()) == ["name", "n", "d", "h", "L"]
+    # a default fills only a missing field
+    assert ModelConfig.from_json({"n": 4, "d": 8, "h": 2, "L": 1}, name="f").name == "f"
+    assert ModelConfig.from_json(ROW, name="f").name == "x"
+    with pytest.raises(ValueError, match="missing field 'name'"):
+        ModelConfig.from_json({"n": 4, "d": 8, "h": 2, "L": 1})

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import stat
+import warnings
 
 import numpy as np
 import pytest
@@ -439,6 +440,97 @@ def test_missing_config_file(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:io:")
 
 
+# kind -> (name in the error line, argv that reads the file at FILE)
+INPUT_FILES = {
+    "config": ("config", ["energy", "--config", "FILE"]),
+    "catalogue": ("catalogue", ["catalogue"]),  # named by PHOTONSIM_CATALOGUE
+    "profile": ("profile", ["energy", "--model", "GPT2-117M", "--profile", "FILE"]),
+    "policy": ("policy", ["chunking", "--model", "GPT2-117M", "--policy", "FILE"]),
+    "lut": ("weight LUT", ["simulate", "--config", "TINY", "--weight-lut", "FILE"]),
+}
+NO_L = {k: v for k, v in TINY.items() if k != "L"}
+BAD_CONTENTS = {  # failure -> contents per kind; profiles and policies need no field
+    "list": dict.fromkeys(INPUT_FILES, "[1]"),
+    "unknown_field": {"config": json.dumps(dict(TINY, bogus=1)),
+                      "catalogue": json.dumps([dict(TINY, bogus=1)]),
+                      "profile": '{"bogus": 1}', "policy": '{"bogus": 1}',
+                      "lut": "level_index,bogus\n0,1\n"},
+    "missing_field": {"config": json.dumps(NO_L), "catalogue": json.dumps([NO_L]),
+                      "lut": "level_index\n0\n"},
+}
+FILE_FAILURES = [("missing", "io"), ("directory", "io")] + [
+    (failure, "parse") for failure in BAD_CONTENTS]
+
+
+@pytest.mark.parametrize("kind, failure, err_class", [
+    (kind, failure, err_class) for failure, err_class in FILE_FAILURES for kind in INPUT_FILES
+    if failure not in BAD_CONTENTS or kind in BAD_CONTENTS[failure]])
+def test_input_file_errors(tmp_path, capsys, monkeypatch, kind, failure, err_class):
+    path = tmp_path / "input"
+    if failure == "directory":
+        path.mkdir()
+    elif failure != "missing":
+        path.write_text(BAD_CONTENTS[failure][kind])
+    name, argv = INPUT_FILES[kind]
+    if kind == "catalogue":
+        monkeypatch.setenv("PHOTONSIM_CATALOGUE", str(path))
+    replace = {"FILE": str(path), "TINY": write_tiny_config(tmp_path)}
+    out = tmp_path / "o"
+    assert main([replace.get(a, a) for a in argv] + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error:{err_class}: {name} file {path}: ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["energy", "--model", "GPT2-117M", "--out", "FILE"],
+    ["catalogue", "--out", "FILE/sub"],
+], ids=["out_is_file", "out_under_file"])
+def test_unwritable_output_is_io_error(tmp_path, capsys, argv):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main([a.replace("FILE", str(taken)) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:io: [Errno ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--ff-noise", "1e150"],
+    ["simulate", "--attn-noise", "1e300", "--photons", "3"],
+    ["sweep", "--ff-grid", "0,1e150", "--attn-grid", "0"],
+], ids=["simulate", "simulate_shot", "sweep"])
+def test_float64_overflow_is_over_limit(tmp_path, capsys, argv):
+    out = tmp_path / "o"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv + ["--config", write_tiny_config(tmp_path), "--out", str(out)]) == 1
+    assert not caught  # no numpy RuntimeWarning
+    err = capsys.readouterr().err
+    assert err.startswith("error:over_limit: the forward pass left the float64 range")
+    assert err.count("\n") == 1
+    assert not out.exists()  # no trace, data file or manifest
+
+
+@pytest.mark.parametrize("epoch", ["abc", "1e99", "99999999999999999", "-1", "1.5",
+                                   "253402300800"])
+def test_bad_source_date_epoch_is_usage_error(tmp_path, capsys, monkeypatch, epoch):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+    out = tmp_path / "o"
+    assert main(["catalogue", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == ("error:usage: SOURCE_DATE_EPOCH must be an integer in [0, 253402300799], "
+                   f"got {epoch}\n")
+    assert not out.exists()
+
+
+def test_last_source_date_epoch(tmp_path, monkeypatch):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "253402300799")
+    assert main(["catalogue", "--format", "json", "--out", str(tmp_path)]) == 0
+    assert read_json(tmp_path / "catalogue_manifest.json")["timestamp"] == "9999-12-31T23:59:59Z"
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate", "--photons", "abc"],
     ["simulate", "--ff-noise", "-1"],
@@ -464,6 +556,11 @@ def test_missing_config_file(tmp_path, capsys):
     ["energy", "--baseline", "abc"],
     ["simulate", "--ff-noise", "abc"],
     ["simulate", "--attn-noise", "abc"],
+    ["sweep", "--seeds", "1.0"],
+    ["simulate", "--photons", "none"],
+    ["simulate", "--photons", ""],
+    ["chunking", "--memory", "0"],
+    ["sweep", "--ff-grid", "0,abc"],
 ])
 def test_bad_numeric_inputs_are_usage_errors(tmp_path, capsys, argv):
     out = tmp_path / "o"

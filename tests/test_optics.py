@@ -495,6 +495,13 @@ def test_noise_spec_defaults_and_json():
         NoiseSpec(photons_per_mac=0.0)
 
 
+@pytest.mark.parametrize("field", ["systematic_percent_ff", "systematic_percent_attn"])
+@pytest.mark.parametrize("value", [math.inf, math.nan, -1.0])
+def test_noise_spec_rejects_non_finite_percent(field, value):
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        NoiseSpec(**{field: value})
+
+
 # --------------------------------------------------------------------------
 # full optical product
 
