@@ -35,14 +35,13 @@ CATALOGUE_ENV = "PHOTONSIM_CATALOGUE"
 
 
 class CliError(Exception):
-    def __init__(self, err_class: str, message: str, code: int = 1):
+    def __init__(self, err_class: str, message: str):
         super().__init__(message)
         self.err_class = err_class
-        self.code = code
 
 
 def _usage(message: str) -> CliError:
-    return CliError("usage", message, code=2)
+    return CliError("usage", message)
 
 
 def _number(name: str, rule: str, valid, cast=float, many: bool = False):
@@ -240,23 +239,25 @@ def _get_catalogue() -> tuple[list[ModelConfig], str]:
     return builtin_catalogue(), "builtin"
 
 
-def _resolve_models(args, require_one: bool = False) -> tuple[list[ModelConfig], dict]:
-    catalogue, source = _get_catalogue()
+def _resolve_models(args) -> tuple[list[ModelConfig], dict]:
+    """The models of --all, --config or --model, in that precedence; only
+    --all and --model read the catalogue. `simulate` and `sweep` have no --all."""
     if getattr(args, "all", False):
+        catalogue, source = _get_catalogue()
         return catalogue, {"models": "all", "catalogue": source}
     if args.config:
         name = os.path.basename(args.config)
         config = _read("config", args.config, lambda text: ModelConfig.from_json(text, name=name))
         return [config], {"models": [config.name], "config_file": args.config}
     if args.model:
+        catalogue, source = _get_catalogue()
         try:
             config = find_model(args.model, catalogue)
         except KeyError as exc:
             raise CliError("unknown_model", str(exc.args[0]))
         return [config], {"models": [config.name], "catalogue": source}
-    if require_one:
-        raise _usage("provide --model NAME or --config FILE")
-    raise _usage("provide --model NAME, --config FILE, or --all")
+    raise _usage("provide --model NAME, --config FILE, or --all" if hasattr(args, "all")
+                 else "provide --model NAME or --config FILE")
 
 
 def _pricing_from_args(args, resolved: dict) -> tuple[HardwareProfile, PhotonPolicy]:
@@ -276,7 +277,7 @@ def _pricing_from_args(args, resolved: dict) -> tuple[HardwareProfile, PhotonPol
 def _simulation_inputs(args, noise: dict) -> tuple[ModelConfig, dict, tuple, float]:
     """Model, LUTs and photons per MAC shared by `simulate` and `sweep`. The
     resolved inputs record the command's `noise` settings ahead of them."""
-    models, resolved = _resolve_models(args, require_one=True)
+    models, resolved = _resolve_models(args)
     resolved.update(noise, photons=args.photons, input_lut=args.input_lut,
                     weight_lut=args.weight_lut)
     config = models[0]
@@ -351,7 +352,7 @@ def cmd_chunking(args) -> list[str]:
         for memory in args.memory:
             for batch in args.batch:
                 scenario = ChunkingScenario(memory_capacity_weights=memory, batch_size=batch)
-                onn = chunked_onn_energy(model, profile, policy, scenario).total()
+                onn = chunked_onn_energy(model, profile, policy, scenario=scenario).total()
                 gpu = chunked_gpu_energy(model, a100, scenario, args.dram_j_per_bit)
                 rows.append([model.name, memory, batch,
                              scenario.chunks(model.layer_weight_count),
@@ -408,7 +409,7 @@ def cmd_sweep(args) -> list[str]:
     x = make_input(config, args.seed)
     with np.errstate(over="raise", invalid="raise"):  # main() reports FloatingPointError
         surfaces = noise_sweep(config, weights, x, args.ff_grid, args.attn_grid, photons=photons,
-                               seed=args.seeds, input_lut=input_lut, weight_lut=weight_lut)
+                               seeds=args.seeds, input_lut=input_lut, weight_lut=weight_lut)
     rows = []
     for seed, surface in zip(args.seeds, surfaces):
         for i, ff in enumerate(args.ff_grid):
@@ -525,12 +526,14 @@ def main(argv=None) -> int:
         error = CliError("over_limit", f"out of memory: {str(exc) or 'allocation failed'}")
     except FloatingPointError as exc:  # a forward pass that left the float64 range means nothing
         error = CliError("over_limit", f"the forward pass left the float64 range: {exc}")
+    except OverflowError as exc:  # a count past float64, as from --core-size 5e-324
+        error = CliError("over_limit", f"a count left the float64 range: {exc}")
     except OSError as exc:  # an output that cannot be written
         error = CliError("io", str(exc))
     except (ValueError, KeyError) as exc:
         error = CliError("internal", str(exc))
     print(f"error:{error.err_class}: {error}", file=sys.stderr)
-    return error.code
+    return 2 if error.err_class == "usage" else 1
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, asdict, replace
+from dataclasses import dataclass, asdict, fields, replace
 
 from .arch import ModelConfig, compute_breakdown, json_fields, PRODUCT_CLASSES, WEIGHT_MATRICES
 
@@ -42,13 +42,14 @@ class HardwareProfile:
     mem_bits_per_scalar: int = 8    # memory traffic billed at 8 bits/scalar
 
     def __post_init__(self) -> None:
-        for name in ("e_read_offchip", "e_read_sram", "e_write", "e_dac", "e_mod",
-                     "e_amp", "e_adc", "e_maintain", "photon_energy"):
-            if not 0 <= getattr(self, name) < math.inf:  # NaN fails every comparison
-                raise ValueError(f"{name} must be finite and >= 0")
-        for name in ("input_bits", "mem_bits_per_scalar"):
-            if not 1 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and >= 1")
+        # by declared type; a bool (json `true`) is neither a float nor an int here
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type in ("int", int):
+                if type(value) is not int or value < 1:
+                    raise ValueError(f"{f.name} must be an integer >= 1, got {value!r}")
+            elif isinstance(value, bool) or not 0 <= value < math.inf:  # NaN fails too
+                raise ValueError(f"{f.name} must be finite and >= 0, got {value!r}")
 
     @property
     def load_cost(self) -> float:
@@ -110,12 +111,17 @@ class PhotonPolicy:
     def __post_init__(self) -> None:
         if self.scaling not in ("inverse_d", "constant", "table"):
             raise ValueError(f"scaling must be inverse_d/constant/table, got {self.scaling!r}")
-        if self.reference_d < 1:
-            raise ValueError("reference_d must be >= 1")
-        if not self.reference_photons_per_mac > 0:
-            raise ValueError("reference_photons_per_mac must be > 0")
+        if type(self.reference_d) is not int or self.reference_d < 1:
+            raise ValueError(f"reference_d must be an integer >= 1, got {self.reference_d!r}")
+        reference = self.reference_photons_per_mac
+        if isinstance(reference, bool) or not 0 < reference < math.inf:
+            raise ValueError(f"reference_photons_per_mac must be finite and > 0, got {reference!r}")
         if self.scaling == "table" and not self.table:
             raise ValueError("table scaling requires a non-empty table")
+        for d, photons in (self.table or {}).items():
+            if isinstance(photons, bool) or not 0 < float(photons) < math.inf:
+                raise ValueError(f"table photons per MAC at d={d} must be finite and > 0, "
+                                 f"got {photons!r}")
 
     def photons_per_mac(self, d: int) -> float:
         if self.scaling == "inverse_d":
@@ -125,7 +131,7 @@ class PhotonPolicy:
         if d not in self.table:
             known = sorted(self.table)
             raise KeyError(f"no photon count tabulated for d={d}; table covers {known}")
-        return self.table[d]
+        return float(self.table[d])
 
     def to_json(self) -> str:
         data = asdict(self)
@@ -140,7 +146,7 @@ class PhotonPolicy:
         if table is not None:
             if not isinstance(table, dict):
                 raise ValueError(f"policy table must be a JSON object, got {type(table).__name__}")
-            data["table"] = {int(k): float(v) for k, v in table.items()}
+            data["table"] = {int(k): v for k, v in table.items()}
         return cls(**data)
 
 
@@ -247,7 +253,6 @@ class ChunkingScenario:
 
     memory_capacity_weights: float  # weights resident at once (1 byte/weight)
     batch_size: float = 1.0
-    weight_load_energy: float | None = None  # J/bit off-chip; None = profile value
 
     def __post_init__(self) -> None:
         if not self.memory_capacity_weights > 0:
@@ -260,30 +265,25 @@ class ChunkingScenario:
 
 
 def chunked_onn_energy(config: ModelConfig, profile: HardwareProfile | None = None,
-                       policy: PhotonPolicy | None = None,
-                       scenario: ChunkingScenario | None = None,
+                       policy: PhotonPolicy | None = None, *, scenario: ChunkingScenario,
                        baselines: dict[str, float] | None = None) -> EnergyReport:
     """Per-inference energy when weights are streamed in k chunks per layer.
 
     If every weight fits in the in-place memory there is nothing to stream
     and the report equals the plain weights-in-place total. Otherwise every
     activation-load term is paid k times and the off-chip weight loading
-    (all weights, once per batch) is added, attributed to the weight-bearing
-    classes in proportion to their weight counts.
+    (all weights, once per batch, at the profile's e_read_offchip) is added,
+    attributed to the weight-bearing classes in proportion to their weight
+    counts.
     """
     profile = profile or default_profile()
-    if scenario is None:
-        raise ValueError("chunked_onn_energy requires a ChunkingScenario")
     report = total_energy(config, profile, policy, baselines)
     if config.param_count <= scenario.memory_capacity_weights:
         return report  # whole model resident: degenerate chunking
     k = scenario.chunks(config.layer_weight_count)
     for name in PRODUCT_CLASSES:
         report.cells[name]["electrical_load"] *= k
-    j_per_bit = scenario.weight_load_energy
-    if j_per_bit is None:
-        j_per_bit = profile.e_read_offchip
-    weight_load = (config.param_count * profile.mem_bits_per_scalar * j_per_bit
+    weight_load = (config.param_count * profile.mem_bits_per_scalar * profile.e_read_offchip
                    / scenario.batch_size)
     for name, rows, cols in WEIGHT_MATRICES:
         fraction = rows * cols * config.d * config.d / config.layer_weight_count
@@ -292,12 +292,11 @@ def chunked_onn_energy(config: ModelConfig, profile: HardwareProfile | None = No
 
 
 def chunked_gpu_energy(config: ModelConfig, digital_j_per_mac: float,
-                       scenario: ChunkingScenario, dram_j_per_bit: float = 1e-12,
-                       mem_bits_per_scalar: int = 8) -> float:
+                       scenario: ChunkingScenario, dram_j_per_bit: float = 1e-12) -> float:
     """Digital system split over chunks: per-MAC compute plus activations
-    crossing DRAM once per chunk after every layer."""
+    crossing DRAM, at 8 bits per scalar, once per chunk after every layer."""
     breakdown = compute_breakdown(config)
     k = scenario.chunks(config.layer_weight_count)
     activation_scalars = config.L * config.n * config.d
     return (breakdown.total_macs * digital_j_per_mac
-            + k * activation_scalars * mem_bits_per_scalar * dram_j_per_bit)
+            + k * activation_scalars * 8 * dram_j_per_bit)

@@ -105,10 +105,6 @@ class LookupTable:
         too close for MAX_SNAP_BINS bins."""
         return _snap_table(self.unique_levels)
 
-    @property
-    def unique_count(self) -> int:
-        return int(self.unique_levels.size)
-
 
 def lut_synthesize(unique_levels: int, total_levels: int, floor: float = 0.0) -> LookupTable:
     """Build an idealized LUT: `unique_levels` values uniformly spaced in
@@ -231,22 +227,11 @@ def _bin_index(x: np.ndarray, bins: int) -> np.ndarray:
 
 def _snap_deterministic(x: np.ndarray, levels: np.ndarray) -> np.ndarray:
     """Nearest level; exact ties go to the even level index."""
-    if np.ndim(x) == 0:  # the in-place steps below need an array
-        return _snap_deterministic(np.reshape(x, 1), levels).reshape(())
-    # few temporaries: this runs on every element of every LUT operand
-    hi_idx = np.searchsorted(levels, x, side="left")
-    np.clip(hi_idx, 1, levels.size - 1, out=hi_idx)
-    hi = levels[hi_idx]
-    lo = levels[hi_idx - 1]
-    d_lo = x - lo
-    d_hi = hi - x
-    pick_lo = d_lo < d_hi
-    tie = np.equal(d_lo, d_hi)
-    hi_idx &= 1  # an odd hi index means an even lo index
-    np.logical_and(tie, hi_idx, out=tie)
-    pick_lo |= tie
-    np.copyto(hi, lo, where=pick_lo)
-    return hi
+    hi_idx = np.clip(np.searchsorted(levels, x, side="left"), 1, levels.size - 1)
+    lo, hi = levels[hi_idx - 1], levels[hi_idx]
+    d_lo, d_hi = x - lo, hi - x
+    # an odd hi index means an even lo index
+    return np.where((d_lo < d_hi) | ((d_lo == d_hi) & (hi_idx % 2 == 1)), lo, hi)
 
 
 class _SnapTable(NamedTuple):

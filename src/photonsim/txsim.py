@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -37,8 +38,6 @@ class LayerWeights:
 
 @dataclass
 class TransformerWeights:
-    config: ModelConfig
-    seed: int
     layers: list[LayerWeights]
 
 
@@ -58,7 +57,7 @@ def init_weights(config: ModelConfig, seed: int = 0) -> TransformerWeights:
             ln1_gain=np.ones(d), ln1_bias=np.zeros(d),
             ln2_gain=np.ones(d), ln2_bias=np.zeros(d),
         ))
-    return TransformerWeights(config=config, seed=seed, layers=layers)
+    return TransformerWeights(layers=layers)
 
 
 def snap_weights(weights: TransformerWeights, lut: LookupTable) -> TransformerWeights:
@@ -104,8 +103,8 @@ class OpticalBackend:
     (infinite photons, 0% systematic, no LUTs) the product is computed
     directly, keeping the noiseless trace identical to the digital backend.
 
-    Per-product RNG streams derive from (seed, op-counter), so traces are
-    reproducible regardless of scheduling or backend reuse.
+    Per-product RNG streams derive from (noise.seed, op-counter), so traces
+    are reproducible regardless of scheduling or backend reuse.
 
     With weights_snapped, the weight matrices handed to `matmul` have been
     through `weight_lut` already (`snap_weights`), so passes that share them
@@ -113,12 +112,10 @@ class OpticalBackend:
     """
 
     def __init__(self, noise: NoiseSpec, input_lut: LookupTable | None = None,
-                 weight_lut: LookupTable | None = None, seed: int | None = None,
-                 weights_snapped: bool = False):
+                 weight_lut: LookupTable | None = None, weights_snapped: bool = False):
         self.noise = noise
         self.input_lut = input_lut
         self.weight_lut = weight_lut
-        self.seed = noise.seed if seed is None else seed
         self.weights_snapped = weights_snapped
 
     def _noiseless(self) -> bool:
@@ -135,7 +132,7 @@ class OpticalBackend:
         out = optical_matmul(
             np.asarray(b).T, np.asarray(a).T, self.noise, input_lut=self.input_lut,
             weight_lut=None if self.weights_snapped else self.weight_lut,
-            seed=derive_rng(self.seed, op), kind=kind)
+            seed=derive_rng(self.noise.seed, op), kind=kind)
         return out.T
 
 
@@ -177,13 +174,13 @@ def forward(config: ModelConfig, weights: TransformerWeights, x, backend=None) -
             heads.append(backend.matmul(attn, v[:, sl], kind="attn", op=op)); op += 1
         context = np.concatenate(heads, axis=1)
         x = x + backend.matmul(context, layer.out_proj, kind="ff", op=op); op += 1
-        post_attention.append(x.copy())
+        post_attention.append(x)  # x is rebound, never written in place
 
         h = _layernorm(x, layer.ln2_gain, layer.ln2_bias)
         f = backend.matmul(h, layer.ff1, kind="ff", op=op); op += 1
         f = _relu6(f)
         x = x + backend.matmul(f, layer.ff2, kind="ff", op=op); op += 1
-        post_ff.append(x.copy())
+        post_ff.append(x)
     return ForwardTrace(post_attention=post_attention, post_ff=post_ff, final=x)
 
 
@@ -200,18 +197,17 @@ def deviation(noisy: np.ndarray, clean: np.ndarray) -> float:
 
 
 def noise_sweep(config: ModelConfig, weights: TransformerWeights, x,
-                ff_grid, attn_grid, photons: float = math.inf, seed: int | list[int] = 0,
+                ff_grid, attn_grid, photons: float = math.inf, seeds: Sequence[int] = (0,),
                 input_lut: LookupTable | None = None,
                 weight_lut: LookupTable | None = None) -> np.ndarray:
-    """Deviation of the noisy forward vs the digital baseline, per grid cell.
+    """Deviation of the noisy forward vs the digital baseline, per grid cell
+    and seed, indexed [seed][ff][attn].
 
-    Returns a matrix indexed [ff][attn]; each cell uses an RNG stream
-    derived from (seed, ff index, attn index), so cells are independent.
-    Given a sequence of seeds, returns one such matrix per seed, indexed
-    [seed][ff][attn]. Every cell of every seed shares one digital reference
-    and one snap of the weights through `weight_lut`.
+    Each cell uses an RNG stream derived from (seed, ff index, attn index),
+    so cells are independent. Every cell of every seed shares one digital
+    reference and one snap of the weights through `weight_lut`.
     """
-    seeds = list(seed) if np.ndim(seed) else [seed]
+    seeds = list(seeds)
     ff_grid = list(ff_grid)
     attn_grid = list(attn_grid)
     if not ff_grid or not attn_grid:
@@ -228,7 +224,7 @@ def noise_sweep(config: ModelConfig, weights: TransformerWeights, x,
                 backend = OpticalBackend(noise, input_lut=input_lut, weight_lut=weight_lut,
                                          weights_snapped=True)
                 surfaces[s, i, j] = deviation(forward(config, weights, x, backend).final, clean)
-    return surfaces if np.ndim(seed) else surfaces[0]
+    return surfaces
 
 
 def trace_to_json_dict(trace: ForwardTrace, config: ModelConfig, seed: int) -> dict:

@@ -1,18 +1,24 @@
 """End-to-end CLI: outputs, manifests, determinism, error surfaces."""
+import argparse
+import contextlib
 import csv
+import dataclasses
+import io
 import json
 import math
 import os
+import re
 import stat
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import photonsim.optics
-from photonsim import (ChunkingScenario, DIGITAL_BASELINES, ModelConfig, advantage,
-                       builtin_catalogue, chunked_onn_energy, compute_breakdown,
+from photonsim import (ChunkingScenario, DIGITAL_BASELINES, HardwareProfile, ModelConfig,
+                       advantage, builtin_catalogue, chunked_onn_energy, compute_breakdown,
                        find_model, future_profile, init_weights, lut_synthesize,
                        save_catalogue, save_lut, total_energy)
 import photonsim.cli
@@ -458,6 +464,17 @@ BAD_CONTENTS = {  # failure -> contents per kind; profiles and policies need no 
     "missing_field": {"config": json.dumps(NO_L), "catalogue": json.dumps([NO_L]),
                       "lut": "level_index\n0\n"},
 }
+BAD_CONTENTS.update({  # values out of range or of the wrong type; json reads NaN, Infinity
+    **{f"table_{name}": {"policy": '{"scaling": "table", "table": {"768": %s}}' % value}
+       for name, value in [("nan", "NaN"), ("inf", "Infinity"), ("minus_inf", "-Infinity"),
+                           ("zero", "0"), ("negative", "-5"), ("bool", "true")]},
+    "reference_d_fraction": {"policy": '{"reference_d": 5.5}'},
+    "reference_photons_inf": {"policy": '{"reference_photons_per_mac": Infinity}'},
+    "input_bits_fraction": {"profile": '{"input_bits": 5.5}'},
+    "mem_bits_fraction": {"profile": '{"mem_bits_per_scalar": 7.5}'},
+    **{f"bool_{f.name}": {"profile": json.dumps({f.name: True})}
+       for f in dataclasses.fields(HardwareProfile)},
+})
 FILE_FAILURES = [("missing", "io"), ("directory", "io")] + [
     (failure, "parse") for failure in BAD_CONTENTS]
 
@@ -511,6 +528,40 @@ def test_float64_overflow_is_over_limit(tmp_path, capsys, argv):
     assert err.startswith("error:over_limit: the forward pass left the float64 range")
     assert err.count("\n") == 1
     assert not out.exists()  # no trace, data file or manifest
+
+
+@pytest.mark.parametrize("argv", [
+    ["requirements", "--model", "GPT2-117M", "--core-size", "5e-324"],
+    ["chunking", "--model", "GPT2-117M", "--memory", "1e-310"],
+    ["chunking", "--model", "GPT2-117M", "--memory", "1e-300"],
+], ids=["core_size", "memory", "memory_gpu_traffic"])
+def test_count_overflow_is_over_limit(tmp_path, capsys, argv):
+    # tiny capacities ask for more cores or chunks than float64 can count
+    out = tmp_path / "o"
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:over_limit: a count left the float64 range")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["energy", "requirements", "chunking", "simulate", "sweep"])
+def test_config_runs_do_not_read_the_catalogue(tmp_path, capsys, monkeypatch, command):
+    bad = tmp_path / "catalogue.json"
+    bad.write_text("{broken")
+    argv = [command, "--config", write_tiny_config(tmp_path), "--out", "OUT"]
+    runs = []
+    for catalogue in (None, str(bad)):
+        if catalogue:
+            monkeypatch.setenv("PHOTONSIM_CATALOGUE", catalogue)
+        out = tmp_path / ("bad" if catalogue else "unset")
+        assert main([str(out) if a == "OUT" else a for a in argv]) == 0
+        captured = capsys.readouterr()
+        runs.append((captured.out, captured.err,
+                     {p.name: p.read_bytes() for p in sorted(out.iterdir())}))
+    assert runs[0] == runs[1]
+    assert main([command, "--model", "GPT2-117M", "--out", str(tmp_path / "m")]) == 1
+    assert capsys.readouterr().err.startswith(f"error:parse: catalogue file {bad}: ")
 
 
 @pytest.mark.parametrize("epoch", ["abc", "1e99", "99999999999999999", "-1", "1.5",
@@ -569,6 +620,81 @@ def test_bad_numeric_inputs_are_usage_errors(tmp_path, capsys, argv):
     assert err.startswith("error:usage:")
     assert err.count("\n") == 1  # single line
     assert not (out / f"{argv[0]}_manifest.json").exists()
+
+
+# per subcommand, each of its flags but --help and --out, mapped to whether it takes a value
+KNOWN_FLAGS = {
+    name: {flag: action.nargs != 0 for action in parser._actions
+           for flag in action.option_strings if flag not in ("-h", "--help", "--out")}
+    for name, parser in next(a for a in build_parser()._actions
+                             if isinstance(a, argparse._SubParsersAction)).choices.items()}
+
+
+EDGE_VALUES = ["0", "-1", "5e-324", "1e308", "inf", "nan", "abc", "",
+               "0,1", "1,5e-324", "0,abc", "1e308,0", "2,nan"]
+NAN = re.compile(r"\bnan\b", re.IGNORECASE)  # as written for a NaN, not "maintenance"
+ERROR_LINE = re.compile(r"error:(usage|unknown_model|parse|over_limit|io): [^\n]*\n")
+
+
+@pytest.fixture(scope="module")
+def tiny_inputs(tmp_path_factory):
+    """The paths that the TINY and LUT arguments of a command line stand for."""
+    work = tmp_path_factory.mktemp("argv")
+    (work / "tiny.json").write_text(json.dumps(TINY))
+    save_lut(work / "lut.csv", lut_synthesize(8, 16, floor=0.05))
+    return {"TINY": str(work / "tiny.json"), "LUT": str(work / "lut.csv")}
+
+
+@st.composite
+def command_lines(draw):
+    """A subcommand with a model (the tiny config for simulate and sweep) and
+    up to three of its flags, each valued from the edge pool or a valid value."""
+    command = draw(st.sampled_from(sorted(KNOWN_FLAGS)))
+    flags = KNOWN_FLAGS[command]
+    valid = {"--model": ["GPT2-117M"], "--config": ["TINY"], "--input-lut": ["LUT"],
+             "--weight-lut": ["LUT"], "--format": ["json", "csv", "both"]}
+    argv = [command]
+    if "--all" in flags:
+        argv += draw(st.sampled_from([["--all"], ["--model", "GPT2-117M"],
+                                      ["--config", "TINY"], []]))
+    for flag in draw(st.lists(st.sampled_from(sorted(flags)), unique=True, max_size=3)):
+        if flag != "--allow-large":
+            argv.append(flag)
+            if flags[flag]:
+                argv.append(draw(st.sampled_from(valid.get(flag, []) + EDGE_VALUES)))
+    if command in ("simulate", "sweep"):  # the last --config is the one that counts
+        argv += ["--config", "TINY"]
+    return argv
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(argv=command_lines())
+@example(argv=["requirements", "--config", "TINY", "--core-size", "5e-324"])
+@example(argv=["chunking", "--model", "GPT2-117M", "--memory", "1,5e-324"])
+def test_every_command_line_ends_in_outputs_or_one_error_line(tiny_inputs, argv):
+    # each run writes every output its manifest lists, none with a NaN, or it
+    # prints one documented error line; never a traceback or error:internal
+    argv = [tiny_inputs.get(arg, arg) for arg in argv]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as out, warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning is a fault too
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                status = main(argv + ["--out", out])
+            except SystemExit as exc:  # argparse's own exit, for a bad --format only
+                fmt = argv[argv.index("--format") + 1] if "--format" in argv else "both"
+                assert exc.code == 2 and fmt not in ("json", "csv", "both"), stderr.getvalue()
+                assert "argument --format: invalid choice" in stderr.getvalue()
+                return
+        if status == 0:
+            manifest = os.path.join(out, f"{argv[0]}_manifest.json")
+            for name in read_json(manifest)["outputs"]:
+                with open(os.path.join(out, name), encoding="utf-8") as fh:
+                    assert not NAN.search(fh.read()), name
+            return
+    err = stderr.getvalue()
+    assert ERROR_LINE.fullmatch(err), err
+    assert status == (2 if err.startswith("error:usage:") else 1), err
 
 
 @pytest.mark.parametrize("command", ["simulate", "sweep"])

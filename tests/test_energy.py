@@ -352,8 +352,7 @@ def test_chunked_gpu_energy_closed_form():
 def test_chunked_weight_stream_respects_override():
     # streaming regime (model does not fit) but the stream itself is free
     cfg = find_model("GPT2-117M")
-    free = ChunkingScenario(memory_capacity_weights=1e7, batch_size=1,
-                            weight_load_energy=0.0)
+    free = ChunkingScenario(memory_capacity_weights=1e7, batch_size=1)
     assert free.chunks(12 * cfg.d * cfg.d) == 1
-    rep = chunked_onn_energy(cfg, scenario=free)
+    rep = chunked_onn_energy(cfg, HardwareProfile(e_read_offchip=0.0), scenario=free)
     assert rep.total() == pytest.approx(total_energy(cfg).total(), rel=1e-12)

@@ -39,7 +39,7 @@ def test_lut_synthesize_binary():
 def test_lut_synthesize_slm_like():
     lut = lut_synthesize(128, 256, floor=0.02)
     assert lut.levels.size == 256
-    assert lut.unique_count == 128
+    assert lut.unique_levels.size == 128
     assert lut.levels[0] == 0.02
     assert lut.levels[-1] == 1.0
     assert lut.unique_levels.min() >= 0.02

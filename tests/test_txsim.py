@@ -2,14 +2,16 @@
 import json
 import math
 import pathlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from photonsim import (DigitalBackend, ModelConfig, NoiseSpec, OpticalBackend,
-                       derive_rng, derive_seed, deviation, forward, init_weights,
-                       load_trace, lut_synthesize, make_input, noise_sweep, save_trace,
-                       trace_to_json_dict)
+                       compute_breakdown, derive_rng, derive_seed, deviation, forward,
+                       init_weights, load_trace, lut_synthesize, make_input, noise_sweep,
+                       save_trace, trace_to_json_dict)
 from photonsim.arch import WEIGHT_MATRICES
 from photonsim.txsim import _layernorm, _relu6, _softmax
 
@@ -198,6 +200,39 @@ def test_forward_input_validation():
 # backends
 
 
+class RecordingBackend:
+    """DigitalBackend's products, each logged as (kind, left shape, right shape)."""
+
+    def __init__(self):
+        self.inner = DigitalBackend()
+        self.products = []
+
+    def matmul(self, a, b, kind="ff", op=0):
+        self.products.append((kind, np.shape(a), np.shape(b)))
+        return self.inner.matmul(a, b, kind=kind, op=op)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(n=st.integers(1, 6), head_dim=st.integers(1, 4), h=st.integers(1, 4), L=st.integers(1, 3))
+def test_forward_products_match_compute_breakdown(n, head_dim, h, L):
+    # the simulator's products are the ones the cost model counts: ff products
+    # keep their weights resident and load m*k, attn products load m*k + k*p
+    cfg = ModelConfig("drawn", n=n, d=head_dim * h, h=h, L=L)
+    backend = RecordingBackend()
+    forward(cfg, init_weights(cfg, 0), make_input(cfg, 0), backend)
+    assert len(backend.products) == L * (2 * h + 4)
+    totals = {"ff": [0, 0, 0], "attn": [0, 0, 0]}
+    for kind, (m, k), (_, p) in backend.products:
+        loads = m * k + (k * p if kind == "attn" else 0)
+        for i, count in enumerate((m * k * p, loads, m * p)):
+            totals[kind][i] += count
+    products = compute_breakdown(cfg).products
+    for kind, classes in (("ff", [name for name, _, _ in WEIGHT_MATRICES]),
+                          ("attn", ["attn_qk", "attn_av"])):
+        assert totals[kind] == [L * sum(getattr(products[c], field) for c in classes)
+                                for field in ("macs", "loads", "detects")], kind
+
+
 def test_optical_backend_noiseless_equals_digital_exactly():
     wts = init_weights(TINY, 7)
     x = make_input(TINY, 7)
@@ -214,7 +249,7 @@ def test_optical_backend_noisy_is_deterministic():
     a = forward(TINY, wts, x, OpticalBackend(noise))
     b = forward(TINY, wts, x, OpticalBackend(noise))
     assert np.array_equal(a.final, b.final)
-    c = forward(TINY, wts, x, OpticalBackend(noise, seed=4))
+    c = forward(TINY, wts, x, OpticalBackend(replace(noise, seed=4)))
     assert not np.array_equal(a.final, c.final)
 
 
@@ -258,7 +293,7 @@ def test_deviation_known_values():
 def test_noise_sweep_shape_and_zero_cell():
     wts = init_weights(TINY, 1)
     x = make_input(TINY, 1)
-    surface = noise_sweep(TINY, wts, x, [0.0, 1.0, 2.0], [0.0, 1.0], seed=5)
+    surface, = noise_sweep(TINY, wts, x, [0.0, 1.0, 2.0], [0.0, 1.0], seeds=[5])
     assert surface.shape == (3, 2)
     assert surface[0, 0] == 0.0  # no systematic, infinite photons: exact
     assert np.all(surface[1:, :] > 0)
@@ -269,8 +304,8 @@ def test_noise_sweep_shape_and_zero_cell():
 def test_noise_sweep_deterministic():
     wts = init_weights(TINY, 1)
     x = make_input(TINY, 1)
-    a = noise_sweep(TINY, wts, x, [1.0], [1.0], seed=5)
-    b = noise_sweep(TINY, wts, x, [1.0], [1.0], seed=5)
+    a = noise_sweep(TINY, wts, x, [1.0], [1.0], seeds=[5])
+    b = noise_sweep(TINY, wts, x, [1.0], [1.0], seeds=[5])
     assert np.array_equal(a, b)
 
 
@@ -285,7 +320,7 @@ def test_lut_sweep_equals_fresh_passes(photons, with_input_lut):
     weight_lut = lut_synthesize(16, 32, floor=0.01)
     input_lut = lut_synthesize(8, 16) if with_input_lut else None
     ff_grid, attn_grid, seeds = [0.0, 1.0], [0.0, 2.0], [4, 9]
-    surfaces = noise_sweep(cfg, wts, x, ff_grid, attn_grid, photons=photons, seed=seeds,
+    surfaces = noise_sweep(cfg, wts, x, ff_grid, attn_grid, photons=photons, seeds=seeds,
                            input_lut=input_lut, weight_lut=weight_lut)
     assert surfaces.shape == (2, 2, 2)
     clean = forward(cfg, wts, x, DigitalBackend()).final
@@ -297,8 +332,8 @@ def test_lut_sweep_equals_fresh_passes(photons, with_input_lut):
                 backend = OpticalBackend(noise, input_lut=input_lut, weight_lut=weight_lut)
                 fresh = deviation(forward(cfg, wts, x, backend).final, clean)
                 assert surfaces[s, i, j] == fresh, (seed, ff, attn)
-        single = noise_sweep(cfg, wts, x, ff_grid, attn_grid, photons=photons, seed=seed,
-                             input_lut=input_lut, weight_lut=weight_lut)
+        single, = noise_sweep(cfg, wts, x, ff_grid, attn_grid, photons=photons, seeds=[seed],
+                              input_lut=input_lut, weight_lut=weight_lut)
         assert np.array_equal(single, surfaces[s])
 
 
@@ -309,7 +344,7 @@ def test_noise_sweep_ff_trend_monotone():
     wts = init_weights(cfg, 11)
     x = make_input(cfg, 11)
     grid = [0.0, 0.5, 1.0, 2.0, 5.0]
-    surfaces = [noise_sweep(cfg, wts, x, grid, [0.0], seed=s) for s in range(8)]
+    surfaces = noise_sweep(cfg, wts, x, grid, [0.0], seeds=range(8))
     means = np.mean([s[:, 0] for s in surfaces], axis=0)
     assert means[0] == 0.0
     inversions = int(np.sum(np.diff(means) < 0))
