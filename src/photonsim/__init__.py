@@ -1,5 +1,7 @@
 """Simulator and cost model for Transformer inference on optical matmul hardware."""
 
+from types import ModuleType as _ModuleType
+
 __version__ = "0.1.0"
 
 from .arch import (ComputeBreakdown, DIGITAL_CLASSES, HardwareRequirements, ModelConfig,
@@ -19,25 +21,5 @@ from .energy import (CATEGORIES, ChunkingScenario, DIGITAL_BASELINES, EnergyRepo
                      default_policy, default_profile, electrical_energy, future_profile,
                      total_energy)
 
-__all__ = [
-    "__version__",
-    # arch
-    "ModelConfig", "ProductCounts", "ComputeBreakdown", "HardwareRequirements",
-    "PRODUCT_CLASSES", "DIGITAL_CLASSES", "product_counts", "compute_breakdown",
-    "hardware_requirements", "builtin_catalogue", "load_catalogue", "save_catalogue",
-    "find_model",
-    # optics
-    "LookupTable", "QuantizerSpec", "EmaState", "NoiseSpec", "FourPassOperands",
-    "lut_synthesize", "load_lut", "save_lut", "quantize", "four_pass_decompose",
-    "recombine", "apply_shot_noise", "apply_systematic_noise", "optical_matmul",
-    "empirical_snr", "derive_rng", "derive_seed",
-    # txsim
-    "LayerWeights", "TransformerWeights", "ForwardTrace", "DigitalBackend",
-    "OpticalBackend", "init_weights", "make_input", "forward", "deviation",
-    "noise_sweep", "trace_to_json_dict", "save_trace", "load_trace",
-    # energy
-    "HardwareProfile", "PhotonPolicy", "EnergyReport", "ChunkingScenario",
-    "LAYER_CLASSES", "CATEGORIES", "DIGITAL_BASELINES", "default_profile",
-    "future_profile", "default_policy", "clipped_policy", "electrical_energy",
-    "total_energy", "advantage", "chunked_onn_energy", "chunked_gpu_energy",
-]
+__all__ = ["__version__", *(name for name, value in globals().items()
+                            if not name.startswith("_") and not isinstance(value, _ModuleType))]

@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from functools import cached_property, lru_cache
 
 # The weight matrices each layer keeps resident on the optical hardware, as
@@ -57,10 +57,10 @@ class ModelConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.name, str):
             raise ValueError(f"name must be a string, got {self.name!r}")
-        for field in ("n", "d", "h", "L"):
-            value = getattr(self, field)
-            if type(value) is not int or value <= 0:  # bool is an int subclass
-                raise ValueError(f"{field} must be a positive integer, got {value!r}")
+        for f in fields(self):  # by declared type; bool is an int subclass
+            value = getattr(self, f.name)
+            if f.type == "int" and (type(value) is not int or value <= 0):
+                raise ValueError(f"{f.name} must be a positive integer, got {value!r}")
 
     @classmethod
     def from_json(cls, doc: str | dict, **defaults) -> "ModelConfig":
@@ -70,7 +70,7 @@ class ModelConfig:
 
     def to_json_dict(self) -> dict:
         """The JSON object that `from_json` reads."""
-        return {"name": self.name, "n": self.n, "d": self.d, "h": self.h, "L": self.L}
+        return asdict(self)
 
     @property
     def head_dim(self) -> int:

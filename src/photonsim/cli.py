@@ -26,8 +26,8 @@ from .energy import (ChunkingScenario, DIGITAL_BASELINES, HardwareProfile, Photo
                      chunked_gpu_energy, chunked_onn_energy, default_policy,
                      default_profile, future_profile, total_energy)
 from .optics import NoiseSpec, lut_from_csv
-from .txsim import (DigitalBackend, OpticalBackend, deviation, forward, init_weights,
-                    make_input, noise_sweep, trace_to_json_dict)
+from .txsim import (DigitalBackend, OpticalBackend, TransformerWeights, deviation, forward,
+                    init_weights, make_input, noise_sweep, trace_to_json_dict)
 
 DESK_SCALE_LIMIT = 2 ** 20  # max n*d simulate will materialize without --allow-large
 
@@ -195,15 +195,32 @@ def write_manifest(out_dir: str, command: str, seed: int, resolved: dict,
     return path
 
 
+def _non_finite(obj) -> bool:
+    """Whether a JSON document holds a NaN or an infinity."""
+    if isinstance(obj, float):
+        return not math.isfinite(obj)
+    if isinstance(obj, dict):
+        return any(map(_non_finite, obj.values()))
+    return isinstance(obj, (list, tuple)) and any(map(_non_finite, obj))
+
+
 def _emit(args, command: str, resolved: dict, files: dict, written=()) -> list[str]:
     """Write each of `files` whose extension --format selects, then the manifest,
     which also lists the `written` paths. A payload is a JSON document or, for
-    a .csv name, a (header, rows) pair."""
+    a .csv name, a (header, rows) pair. A NaN or an infinity (a result past
+    float64) in a file to be written is an over_limit error, raised before
+    any file is written."""
+    files = {name: payload for name, payload in files.items()
+             if args.format in (name.rsplit(".", 1)[1], "both")}
+    for name, payload in files.items():
+        # a CSV payload's rows are flat: one comprehension, not a call per cell
+        numbers = ([v for row in payload[1] for v in row if isinstance(v, float)]
+                   if name.endswith(".csv") else payload)
+        if _non_finite(numbers):
+            raise CliError("over_limit", f"a result left the float64 range: {name}")
     os.makedirs(args.out or ".", exist_ok=True)
     outputs = list(written)
     for name, payload in files.items():
-        if args.format not in (name.rsplit(".", 1)[1], "both"):
-            continue
         path = os.path.join(args.out, name)
         if name.endswith(".csv"):
             write_csv(path, *payload)
@@ -274,9 +291,11 @@ def _pricing_from_args(args, resolved: dict) -> tuple[HardwareProfile, PhotonPol
     return profile, policy
 
 
-def _simulation_inputs(args, noise: dict) -> tuple[ModelConfig, dict, tuple, float]:
-    """Model, LUTs and photons per MAC shared by `simulate` and `sweep`. The
-    resolved inputs record the command's `noise` settings ahead of them."""
+def _simulation_inputs(args, noise: dict) -> tuple[ModelConfig, dict, tuple, float,
+                                                    TransformerWeights, np.ndarray]:
+    """Model, resolved inputs, LUTs, photons per MAC, weights and input shared
+    by `simulate` and `sweep`. The resolved inputs record the command's `noise`
+    settings ahead of the shared ones."""
     models, resolved = _resolve_models(args)
     resolved.update(noise, photons=args.photons, input_lut=args.input_lut,
                     weight_lut=args.weight_lut)
@@ -288,7 +307,8 @@ def _simulation_inputs(args, noise: dict) -> tuple[ModelConfig, dict, tuple, flo
             f"simulation would materialize full weights (pass --allow-large to override)")
     luts = tuple(_read(f"{side} LUT", path, lut_from_csv) if path else None
                  for side, path in (("input", args.input_lut), ("weight", args.weight_lut)))
-    return config, resolved, luts, _PHOTONS(args.photons)
+    return (config, resolved, luts, _PHOTONS(args.photons),
+            init_weights(config, args.seed), make_input(config, args.seed))
 
 
 # --------------------------------------------------------------------------
@@ -366,14 +386,11 @@ def cmd_chunking(args) -> list[str]:
 
 
 def cmd_simulate(args) -> list[str]:
-    config, resolved, (input_lut, weight_lut), photons = _simulation_inputs(
+    config, resolved, (input_lut, weight_lut), photons, weights, x = _simulation_inputs(
         args, {"ff_noise": args.ff_noise, "attn_noise": args.attn_noise})
     noise = NoiseSpec(systematic_percent_ff=args.ff_noise,
                       systematic_percent_attn=args.attn_noise,
                       photons_per_mac=photons, seed=args.seed)
-
-    weights = init_weights(config, args.seed)
-    x = make_input(config, args.seed)
     with np.errstate(over="raise", invalid="raise"):  # main() reports FloatingPointError
         digital = forward(config, weights, x, DigitalBackend())
         optical = forward(config, weights, x,
@@ -402,11 +419,8 @@ def cmd_simulate(args) -> list[str]:
 
 
 def cmd_sweep(args) -> list[str]:
-    config, resolved, (input_lut, weight_lut), photons = _simulation_inputs(
+    config, resolved, (input_lut, weight_lut), photons, weights, x = _simulation_inputs(
         args, {"ff_grid": args.ff_grid, "attn_grid": args.attn_grid, "seeds": args.seeds})
-
-    weights = init_weights(config, args.seed)
-    x = make_input(config, args.seed)
     with np.errstate(over="raise", invalid="raise"):  # main() reports FloatingPointError
         surfaces = noise_sweep(config, weights, x, args.ff_grid, args.attn_grid, photons=photons,
                                seeds=args.seeds, input_lut=input_lut, weight_lut=weight_lut)

@@ -242,8 +242,8 @@ def advantage(config: ModelConfig, profile: HardwareProfile | None = None,
     """Energy ratio of a flat per-MAC digital system to the optical system."""
     if not digital_j_per_mac > 0:
         raise ValueError("digital_j_per_mac must be > 0")
-    report = total_energy(config, profile, policy)
-    return report.total_macs * digital_j_per_mac / report.total()
+    report = total_energy(config, profile, policy, baselines={"digital": digital_j_per_mac})
+    return report.advantages()["digital"]
 
 
 @dataclass

@@ -632,6 +632,8 @@ def optical_matmul(w, x, noise: NoiseSpec | None = None,
                 product = product + sign * term
 
     percent = noise.systematic_percent_attn if kind == "attn" else noise.systematic_percent_ff
+    if percent == 0:  # apply_systematic_noise would only copy this fresh array
+        return product
     return apply_systematic_noise(product, percent, seed=rng)
 
 

@@ -60,20 +60,6 @@ def init_weights(config: ModelConfig, seed: int = 0) -> TransformerWeights:
     return TransformerWeights(layers=layers)
 
 
-def snap_weights(weights: TransformerWeights, lut: LookupTable) -> TransformerWeights:
-    """The weights as programmed into the modulators: each projection matrix
-    snapped through `lut` once, for passes through an `OpticalBackend` built
-    with `weights_snapped=True`."""
-    def snap(w):
-        # snapped in optical_matmul's weights-left orientation and transposed
-        # back, so that the backend's transpose hands it that very array
-        return lut_snap(w.T, lut).T
-
-    return replace(weights, layers=[
-        replace(layer, **{name: snap(getattr(layer, name)) for name, _, _ in WEIGHT_MATRICES})
-        for layer in weights.layers])
-
-
 @dataclass
 class ForwardTrace:
     post_attention: list[np.ndarray]  # per layer, after the attention residual
@@ -94,6 +80,7 @@ class DigitalBackend:
         return a @ b
 
 
+@dataclass(frozen=True, eq=False)
 class OpticalBackend:
     """Routes products through the simulated optical pipeline.
 
@@ -107,16 +94,15 @@ class OpticalBackend:
     are reproducible regardless of scheduling or backend reuse.
 
     With weights_snapped, the weight matrices handed to `matmul` have been
-    through `weight_lut` already (`snap_weights`), so passes that share them
-    snap them once, as hardware with resident weights programs them once.
+    through `weight_lut` already (`noise_sweep` snaps them), so passes that
+    share them snap them once, as hardware with resident weights programs
+    them once.
     """
 
-    def __init__(self, noise: NoiseSpec, input_lut: LookupTable | None = None,
-                 weight_lut: LookupTable | None = None, weights_snapped: bool = False):
-        self.noise = noise
-        self.input_lut = input_lut
-        self.weight_lut = weight_lut
-        self.weights_snapped = weights_snapped
+    noise: NoiseSpec
+    input_lut: LookupTable | None = None
+    weight_lut: LookupTable | None = None
+    weights_snapped: bool = False
 
     def _noiseless(self) -> bool:
         return (math.isinf(self.noise.photons_per_mac)
@@ -214,7 +200,14 @@ def noise_sweep(config: ModelConfig, weights: TransformerWeights, x,
         raise ValueError("sweep grids must be non-empty")
     clean = forward(config, weights, x, DigitalBackend()).final
     if weight_lut is not None:
-        weights = snap_weights(weights, weight_lut)
+        # the weights as programmed into the modulators, for the backends'
+        # weights_snapped=True below: each matrix snapped in optical_matmul's
+        # weights-left orientation and transposed back, so that the backend's
+        # transpose hands it that very array
+        weights = replace(weights, layers=[
+            replace(layer, **{name: lut_snap(getattr(layer, name).T, weight_lut).T
+                              for name, _, _ in WEIGHT_MATRICES})
+            for layer in weights.layers])
     surfaces = np.zeros((len(seeds), len(ff_grid), len(attn_grid)))
     for s, cells_seed in enumerate(seeds):
         for i, ff in enumerate(ff_grid):

@@ -545,6 +545,23 @@ def test_count_overflow_is_over_limit(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv,data_file", [
+    (["energy", "--model", "GPT2-117M", "--baseline", "1e308"], "energy.json"),
+    (["energy", "--model", "GPT2-117M", "--baseline", "1e308", "--format", "csv"],
+     "energy_summary.csv"),
+    (["chunking", "--config", "TINY", "--memory", "100", "--dram-j-per-bit", "1e308"],
+     "chunking.csv"),
+], ids=["energy_baseline", "energy_baseline_csv", "chunking_dram"])
+def test_result_overflow_is_over_limit(tmp_path, capsys, argv, data_file):
+    # finite flags whose products leave float64: an inf advantage or energy means nothing
+    argv = [write_tiny_config(tmp_path) if a == "TINY" else a for a in argv]
+    out = tmp_path / "o"
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error:over_limit: a result left the float64 range: {data_file}\n"
+    assert not out.exists()  # no data file and no manifest
+
+
 @pytest.mark.parametrize("command", ["energy", "requirements", "chunking", "simulate", "sweep"])
 def test_config_runs_do_not_read_the_catalogue(tmp_path, capsys, monkeypatch, command):
     bad = tmp_path / "catalogue.json"
@@ -632,7 +649,8 @@ KNOWN_FLAGS = {
 
 EDGE_VALUES = ["0", "-1", "5e-324", "1e308", "inf", "nan", "abc", "",
                "0,1", "1,5e-324", "0,abc", "1e308,0", "2,nan"]
-NAN = re.compile(r"\bnan\b", re.IGNORECASE)  # as written for a NaN, not "maintenance"
+# as written for a NaN or an infinity, not "maintenance" or "info"
+NON_FINITE = re.compile(r"\b(nan|inf)\b", re.IGNORECASE)
 ERROR_LINE = re.compile(r"error:(usage|unknown_model|parse|over_limit|io): [^\n]*\n")
 
 
@@ -671,9 +689,11 @@ def command_lines(draw):
 @given(argv=command_lines())
 @example(argv=["requirements", "--config", "TINY", "--core-size", "5e-324"])
 @example(argv=["chunking", "--model", "GPT2-117M", "--memory", "1,5e-324"])
+@example(argv=["energy", "--model", "GPT2-117M", "--baseline", "1e308"])
 def test_every_command_line_ends_in_outputs_or_one_error_line(tiny_inputs, argv):
-    # each run writes every output its manifest lists, none with a NaN, or it
-    # prints one documented error line; never a traceback or error:internal
+    # each run writes every output its manifest lists, none with a NaN or an
+    # infinity, or it prints one documented error line; never a traceback or
+    # error:internal
     argv = [tiny_inputs.get(arg, arg) for arg in argv]
     stdout, stderr = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as out, warnings.catch_warnings():
@@ -690,7 +710,7 @@ def test_every_command_line_ends_in_outputs_or_one_error_line(tiny_inputs, argv)
             manifest = os.path.join(out, f"{argv[0]}_manifest.json")
             for name in read_json(manifest)["outputs"]:
                 with open(os.path.join(out, name), encoding="utf-8") as fh:
-                    assert not NAN.search(fh.read()), name
+                    assert not NON_FINITE.search(fh.read()), name
             return
     err = stderr.getvalue()
     assert ERROR_LINE.fullmatch(err), err

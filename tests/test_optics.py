@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import photonsim.optics
 from photonsim import (EmaState, LookupTable, NoiseSpec, QuantizerSpec, apply_shot_noise,
                        apply_systematic_noise, derive_rng, derive_seed, empirical_snr,
                        four_pass_decompose, load_lut, lut_synthesize, optical_matmul,
@@ -469,7 +470,8 @@ def test_systematic_noise_calibration():
 
 def test_systematic_noise_zero_percent():
     outputs = np.array([1.0, -2.0])
-    assert np.array_equal(apply_systematic_noise(outputs, 0.0), outputs)
+    copy = apply_systematic_noise(outputs, 0.0)
+    assert np.array_equal(copy, outputs) and not np.shares_memory(copy, outputs)
     with pytest.raises(ValueError):
         apply_systematic_noise(outputs, -1.0)
 
@@ -546,6 +548,25 @@ def test_optical_matmul_systematic_kind_selection():
     attn = optical_matmul(w, x, noise, seed=derive_rng(18, 1), kind="attn")
     assert not np.array_equal(ff, w @ x)      # ff percent applies
     assert np.array_equal(attn, w @ x)        # attn percent is zero
+
+
+@pytest.mark.parametrize("photons", [math.inf, 1000.0, 1.0])  # direct, Gaussian, Poisson
+def test_optical_matmul_draws_no_systematic_noise_at_zero_percent(monkeypatch, photons):
+    # the product is fresh, so a 0% class returns it as it is, without a copy
+    calls = []
+
+    def counted(outputs, percent, seed=None):
+        calls.append(percent)
+        return apply_systematic_noise(outputs, percent, seed=seed)
+
+    monkeypatch.setattr(photonsim.optics, "apply_systematic_noise", counted)
+    rng = derive_rng(25)
+    w, x = rng.normal(size=(6, 8)), rng.normal(size=(8, 5))
+    noise = NoiseSpec(systematic_percent_attn=3.0, photons_per_mac=photons)
+    optical_matmul(w, x, noise, seed=1, kind="ff")
+    assert calls == []
+    optical_matmul(w, x, noise, seed=1, kind="attn")
+    assert calls == [3.0]
 
 
 def test_optical_matmul_shot_noise_scales_with_budget():
