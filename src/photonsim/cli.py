@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import itertools
 import math
 import os
 import sys
@@ -24,7 +23,7 @@ from .arch import (ModelConfig, builtin_catalogue, catalogue_from_json, compute_
                    find_model, hardware_requirements)
 from .energy import (ChunkingScenario, DIGITAL_BASELINES, HardwareProfile, PhotonPolicy,
                      chunked_gpu_energy, chunked_onn_energy, default_policy,
-                     default_profile, future_profile, total_energy)
+                     default_profile, energy_ratio, future_profile, total_energy)
 from .optics import NoiseSpec, lut_from_csv
 from .txsim import (DigitalBackend, OpticalBackend, TransformerWeights, deviation, forward,
                     init_weights, make_input, noise_sweep, trace_to_json_dict)
@@ -87,15 +86,33 @@ def fmt(x: float) -> str:
 _INDENT = "  "
 
 
-def _block(items: list[str], depth: int, brackets: str) -> str:
-    """A JSON array or object at nesting `depth` holding the encoded `items`."""
+class _Pieces(list):
+    """A JSON text kept as a list of strings that are never joined: the rows
+    of arrays, written to the file one at a time. A string added in front
+    of it (a dict key) becomes its first piece."""
+
+    def __radd__(self, prefix: str) -> "_Pieces":
+        return _Pieces([prefix, *self])
+
+
+def _block(items: list, depth: int, brackets: str):
+    """A JSON array or object at nesting `depth` holding the encoded `items`;
+    _Pieces if an item is."""
     pad = "\n" + _INDENT * (depth + 1)
-    return brackets[0] + pad + ("," + pad).join(items) + "\n" + _INDENT * depth + brackets[1]
+    try:
+        return brackets[0] + pad + ("," + pad).join(items) + "\n" + _INDENT * depth + brackets[1]
+    except TypeError:  # join takes only strings
+        pieces = _Pieces([brackets[0] + pad])
+        for i, item in enumerate(items):
+            if i:
+                pieces.append("," + pad)
+            pieces += item if type(item) is _Pieces else [item]
+        pieces.append("\n" + _INDENT * depth + brackets[1])
+        return pieces
 
 
-def _float_rows(rows: list, depth: int) -> list[str] | None:
-    """JSON texts of the rows of a matrix of Python floats, or None if `rows`
-    is not a list of equal-length lists that hold only Python floats.
+def _row_texts(a: np.ndarray, depth: int) -> list[str]:
+    """JSON texts of the rows of 2-D float64 array `a` at nesting `depth`.
 
     "%.9g" prints what repr(float(fmt(v))) prints, because 9 significant
     digits survive the round trip through a normal double. It prints
@@ -103,22 +120,37 @@ def _float_rows(rows: list, depth: int) -> list[str] | None:
     9 to 15, and fewer digits may survive a subnormal. A row holding a value
     within 1e-8 |v| of an integer (every |v| >= 5e7 is), a subnormal or a
     non-finite value goes float by float through _encode."""
-    width = len(rows[0]) if type(rows[0]) is list else 0
-    if not width or any(type(row) is not list or len(row) != width for row in rows):
-        return None
-    if set(map(type, itertools.chain.from_iterable(rows))) != {float}:
-        return None
-    a = np.abs(np.array(rows))
+    m = np.abs(a)
     with np.errstate(invalid="ignore"):  # inf - inf; nan and inf fail the test
-        plain = ((a >= sys.float_info.min) & (np.abs(a - np.rint(a)) > 1e-8 * a)).all(axis=1)
-    template = _block(["%.9g"] * width, depth, "[]")  # one % call per row
-    return [template % tuple(row) if ok else _encode(row, depth)
-            for row, ok in zip(rows, plain.tolist())]
+        plain = ((m >= sys.float_info.min) & (np.abs(m - np.rint(m)) > 1e-8 * m)).all(axis=1)
+    template = _block(["%.9g"] * a.shape[1], depth, "[]")  # one % call per row
+    return [template % tuple(row) if ok else _encode(row, depth, {})
+            for row, ok in zip(map(np.ndarray.tolist, a), plain.tolist())]
 
 
-def _encode(obj, depth: int = 0) -> str:
-    """json.dumps(obj, indent=2), with floats at 9 significant digits and
-    non-finite floats as strings. Dict keys must be strings."""
+def _array_text(a: np.ndarray, depth: int, seen: dict):
+    """The text of a.tolist(); for a non-empty 2-D float64 array _Pieces
+    holding its rows. Such an array is formatted once per document:
+    `seen` maps its id to its row texts, which an occurrence at another
+    depth shifts, as a formatted float holds no newline."""
+    if type(a) is not np.ndarray or a.dtype != np.float64 or a.ndim != 2 or not a.size:
+        return _encode(a.tolist(), depth, seen)
+    first, row_depth, rows = seen.get(id(a), (None, 0, None))
+    if first is not a:
+        row_depth, rows = depth + 1, _row_texts(a, depth + 1)
+        seen[id(a)] = (a, row_depth, rows)
+    elif row_depth != depth + 1:
+        old, new = "\n" + _INDENT * row_depth, "\n" + _INDENT * (depth + 1)
+        rows = [text.replace(old, new) for text in rows]
+    return _block([_Pieces([row]) for row in rows], depth, "[]")
+
+
+def _encode(obj, depth: int, seen: dict):
+    """json.dumps(obj, indent=2) at nesting `depth`, with floats at 9
+    significant digits and non-finite floats as strings; an ndarray is
+    written as its tolist(). One string, or _Pieces where `obj` holds an
+    array's rows. `seen` records the document's formatted arrays
+    (_array_text)."""
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)
     if obj is None:
@@ -136,10 +168,7 @@ def _encode(obj, depth: int = 0) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        items = _float_rows(obj, depth + 1) if type(obj) is list else None
-        if items is None:
-            items = [_encode(v, depth + 1) for v in obj]
-        return _block(items, depth, "[]")
+        return _block([_encode(v, depth + 1, seen) for v in obj], depth, "[]")
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -147,18 +176,21 @@ def _encode(obj, depth: int = 0) -> str:
         for key, value in obj.items():
             if not isinstance(key, str):
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
-            items.append(encode_basestring_ascii(key) + ": " + _encode(value, depth + 1))
+            items.append(encode_basestring_ascii(key) + ": " + _encode(value, depth + 1, seen))
         return _block(items, depth, "{}")
+    if isinstance(obj, np.ndarray):
+        return _array_text(obj, depth, seen)
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _atomic_write(path: str, pieces: list[str]) -> None:
+    """Write the concatenated `pieces` to `path` through a temporary file."""
     # created through the umask like a plain open(); O_EXCL never reuses a stray file
     tmp = os.path.join(os.path.dirname(path) or ".", f".tmp-{os.urandom(8).hex()}")
     fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -167,7 +199,8 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def write_json(path: str, obj) -> None:
-    _atomic_write(path, _encode(obj) + "\n")
+    text = _encode(obj, 0, {})
+    _atomic_write(path, (text if type(text) is _Pieces else [text]) + ["\n"])
 
 
 def write_csv(path: str, header: list[str], rows) -> None:
@@ -176,7 +209,7 @@ def write_csv(path: str, header: list[str], rows) -> None:
     writer.writerow(header)
     for row in rows:
         writer.writerow([fmt(v) if isinstance(v, float) else v for v in row])
-    _atomic_write(path, buf.getvalue())
+    _atomic_write(path, [buf.getvalue()])
 
 
 def _timestamp() -> str:
@@ -324,22 +357,25 @@ def cmd_energy(args) -> list[str]:
         resolved["baseline_j_per_mac"] = args.baseline
 
     reports = [total_energy(m, profile, policy, baselines) for m in models]
-    summary = []
+    summary, lines = [], []
     for model, report in zip(models, reports):
         adv = report.advantages()
         summary.append([model.name, model.n, model.d, model.h, model.L,
                         model.param_count, report.total_macs, report.total()]
                        + [adv[name] for name in baselines])
-        print(f"{model.name}: total {fmt(report.total())} J, "
-              + ", ".join(f"{k} {fmt(v)}x" for k, v in adv.items()))
+        lines.append(f"{model.name}: total {fmt(report.total())} J, "
+                     + ", ".join(f"{k} {fmt(v)}x" for k, v in adv.items()))
     header = ["model", "n", "d", "h", "L", "params", "total_macs", "total_j"]
-    return _emit(args, "energy", resolved, {
+    outputs = _emit(args, "energy", resolved, {
         "energy.json": [r.to_json_dict() for r in reports],
         "energy.csv": (["model", "layer_class", "category", "joules"],
                        [row for r in reports for row in r.csv_rows()]),
         "energy_summary.csv": (header + [f"advantage_{name}" for name in baselines],
                                summary),
     })
+    for line in lines:  # only results that _emit kept
+        print(line)
+    return outputs
 
 
 def cmd_requirements(args) -> list[str]:
@@ -376,7 +412,7 @@ def cmd_chunking(args) -> list[str]:
                 gpu = chunked_gpu_energy(model, a100, scenario, args.dram_j_per_bit)
                 rows.append([model.name, memory, batch,
                              scenario.chunks(model.layer_weight_count),
-                             onn, gpu, macs * a100 / onn, gpu / onn])
+                             onn, gpu, energy_ratio(macs * a100, onn), energy_ratio(gpu, onn)])
     header = ["model", "memory_weights", "batch_size", "chunks",
               "onn_j", "gpu_chunked_j", "advantage_a100", "advantage_chunked_gpu"]
     return _emit(args, "chunking", resolved, {

@@ -159,6 +159,12 @@ def clipped_policy() -> PhotonPolicy:
     return PhotonPolicy(scaling="table", table={192: 120.0, 384: 40.0})
 
 
+def energy_ratio(joules: float, optical_joules: float) -> float:
+    """The advantage `joules / optical_joules`: infinite for an optical system
+    that costs nothing, as under a profile that prices every event at 0."""
+    return joules / optical_joules if optical_joules else math.inf
+
+
 @dataclass
 class EnergyReport:
     """Energy per (layer class, cost category) cell, in joules."""
@@ -180,7 +186,7 @@ class EnergyReport:
 
     def advantages(self) -> dict[str, float]:
         total = self.total()
-        return {name: self.total_macs * j_per_mac / total
+        return {name: energy_ratio(self.total_macs * j_per_mac, total)
                 for name, j_per_mac in self.baselines.items()}
 
     def to_json_dict(self) -> dict:

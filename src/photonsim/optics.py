@@ -561,8 +561,13 @@ def apply_systematic_noise(outputs, percent: float, seed=None) -> np.ndarray:
     sigma = (percent / 100.0) * np.abs(outputs).mean() if outputs.size else 0.0
     if sigma == 0.0:
         return outputs.copy()
-    rng = _as_rng(seed)
-    return outputs + rng.normal(0.0, sigma, outputs.shape)
+    # rng.normal(0.0, sigma, shape) is 0.0 + sigma * z: drawn, scaled and
+    # added in one array, the same bits (+ 0.0 turns a -0.0 product into 0.0)
+    noisy = _as_rng(seed).standard_normal(outputs.shape)
+    noisy *= sigma
+    noisy += 0.0
+    noisy += outputs
+    return noisy
 
 
 _LUT_QUANTIZER = QuantizerSpec(mode="lut", rounding="deterministic")

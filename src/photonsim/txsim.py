@@ -221,19 +221,21 @@ def noise_sweep(config: ModelConfig, weights: TransformerWeights, x,
 
 
 def trace_to_json_dict(trace: ForwardTrace, config: ModelConfig, seed: int) -> dict:
+    """The trace as a JSON document whose activations are the trace's own
+    arrays: json.dumps needs default=np.ndarray.tolist."""
     return {
         "config": config.to_json_dict(),
         "seed": seed,
-        "post_attention": [a.tolist() for a in trace.post_attention],
-        "post_ff": [a.tolist() for a in trace.post_ff],
-        "final": trace.final.tolist(),
+        "post_attention": list(trace.post_attention),
+        "post_ff": list(trace.post_ff),
+        "final": trace.final,
         "mean_abs": trace.mean_abs(),
     }
 
 
 def save_trace(path: str | os.PathLike, trace: ForwardTrace, config: ModelConfig, seed: int) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(trace_to_json_dict(trace, config, seed), fh)
+        json.dump(trace_to_json_dict(trace, config, seed), fh, default=np.ndarray.tolist)
         fh.write("\n")
 
 

@@ -562,6 +562,31 @@ def test_result_overflow_is_over_limit(tmp_path, capsys, argv, data_file):
     assert not out.exists()  # no data file and no manifest
 
 
+@pytest.mark.parametrize("argv,data_file", [
+    (["energy", "--model", "GPT2-117M"], "energy.json"),
+    (["chunking", "--model", "GPT2-117M", "--memory", "1e6"], "chunking.csv"),
+], ids=["energy", "chunking"])
+def test_zero_energy_profile_is_over_limit(tmp_path, capsys, argv, data_file):
+    # an optical system that costs nothing has an infinite advantage
+    profile = tmp_path / "zero.json"
+    profile.write_text(json.dumps({name: 0.0 if isinstance(value, float) else value
+                                   for name, value in dataclasses.asdict(HardwareProfile()).items()}))
+    out = tmp_path / "o"
+    assert main(argv + ["--profile", str(profile), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error:over_limit: a result left the float64 range: {data_file}\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_energy_prints_no_rejected_result(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["energy", "--model", "GPT2-117M", "--baseline", "1e308", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:over_limit:")
+
+
 @pytest.mark.parametrize("command", ["energy", "requirements", "chunking", "simulate", "sweep"])
 def test_config_runs_do_not_read_the_catalogue(tmp_path, capsys, monkeypatch, command):
     bad = tmp_path / "catalogue.json"
@@ -805,8 +830,10 @@ def round9(obj):
     return obj
 
 
-def assert_written_like_reference(path, obj):
-    write_json(str(path), obj)
+def assert_written_like_reference(path, obj, written=None):
+    """write_json of `written` (default `obj`) gives json.dumps(obj, indent=2)
+    with floats at 9 significant digits."""
+    write_json(str(path), obj if written is None else written)
     expected = json.dumps(round9(obj), indent=2) + "\n"
     assert path.read_bytes() == expected.encode("utf-8")
 
@@ -850,7 +877,43 @@ float_matrices = st.integers(1, 5).flatmap(lambda width: st.lists(
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(matrix=float_matrices)
 def test_write_json_float_matrices_match_reference(tmp_path, matrix):
-    assert_written_like_reference(tmp_path / "doc.json", {"m": [matrix, matrix[0]]})
+    path = tmp_path / "doc.json"
+    assert_written_like_reference(path, {"m": [matrix, matrix[0]]})
+    c = np.array(matrix)
+    spaced = np.zeros((2 * len(matrix), 3 * len(matrix[0])))
+    spaced[::2, 1::3] = c
+    for array in (c, np.asfortranarray(c), spaced[::2, 1::3]):
+        assert_written_like_reference(path, {"m": [matrix, matrix[0]]},
+                                      written={"m": [array, array[0]]})
+        # one array object at several depths: formatted at the first, shifted at the others
+        assert_written_like_reference(
+            path, {"deep": [[matrix]], "top": matrix, "deeper": [[[matrix]]], "again": [[matrix]]},
+            written={"deep": [[array]], "top": array, "deeper": [[[array]]], "again": [[array]]})
+
+
+def test_trace_documents_keep_their_bytes(tmp_path):
+    # the bytes of a trace as lists of Python floats, from which json.dumps and
+    # the reference writer define the formats
+    config = ModelConfig("t", 6, 12, 3, 2)
+    trace = photonsim.txsim.forward(config, init_weights(config, 3),
+                                    photonsim.txsim.make_input(config, 3))
+    doc = photonsim.txsim.trace_to_json_dict(trace, config, 3)
+    assert doc["final"] is doc["post_ff"][-1]
+    as_lists = {key: ([a.tolist() for a in value] if key.startswith("post_") else
+                      value.tolist() if key == "final" else value)
+                for key, value in doc.items()}
+    assert_written_like_reference(tmp_path / "written.json", as_lists, written=doc)
+    photonsim.txsim.save_trace(tmp_path / "saved.json", trace, config, 3)
+    saved = (tmp_path / "saved.json").read_bytes()
+    assert saved == (json.dumps(as_lists) + "\n").encode("utf-8")
+
+
+def test_unencodable_value_in_a_streamed_document_leaves_no_file(tmp_path):
+    rows = np.random.default_rng(0).normal(size=(128, 256))  # formatted before the bad value
+    target = tmp_path / "doc.json"
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        write_json(str(target), {"rows": rows, "then": [1.5, object()]})
+    assert os.listdir(tmp_path) == []
 
 
 # --------------------------------------------------------------------------

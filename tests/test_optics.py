@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import photonsim.optics
 from photonsim import (EmaState, LookupTable, NoiseSpec, QuantizerSpec, apply_shot_noise,
@@ -466,6 +466,40 @@ def test_systematic_noise_calibration():
     target = 0.05 * np.abs(outputs).mean()
     assert err.std(ddof=1) == pytest.approx(target, rel=0.02)
     assert abs(err.mean()) < 4 * target / math.sqrt(err.size)
+
+
+_SYSTEMATIC_VALUES = st.one_of(
+    st.floats(-1e300, 1e300, width=64),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.5e-320, -1.0]))
+
+
+@st.composite
+def _systematic_outputs(draw):
+    """Float64 outputs of 1 to 3 dimensions in C, F or strided layout."""
+    shape = tuple(draw(st.lists(st.integers(1, 5), min_size=1, max_size=3)))
+    base = np.array(draw(st.lists(_SYSTEMATIC_VALUES, min_size=4 * math.prod(shape),
+                                  max_size=4 * math.prod(shape))))
+    layout = draw(st.sampled_from(["C", "F", "strided"]))
+    if layout == "strided":
+        return base.reshape(shape + (4,))[..., 1]
+    return np.array(base[:math.prod(shape)].reshape(shape), order=layout)
+
+
+@settings(max_examples=200, deadline=None)
+@given(outputs=_systematic_outputs(),
+       percent=st.one_of(st.floats(1e-300, 1e3), st.sampled_from([1e-310, 5.0])),
+       seed=st.integers(0, 2 ** 32))
+# sigma is one subnormal step: -0.0 outputs meet -0.0 products of the draw
+@example(outputs=np.array([-0.0] * 7 + [4e-321]), percent=1.0, seed=0)
+def test_systematic_noise_matches_normal_draw_bit_for_bit(outputs, percent, seed):
+    before = outputs.copy()
+    got = apply_systematic_noise(outputs, percent, seed=np.random.default_rng(seed))
+    sigma = (percent / 100.0) * np.abs(outputs).mean()
+    want = (outputs.copy() if sigma == 0.0 else
+            outputs + np.random.default_rng(seed).normal(0.0, sigma, outputs.shape))
+    assert got.shape == want.shape and got.strides == want.strides
+    assert got.tobytes() == want.tobytes()  # signed zeros included
+    assert before.tobytes() == outputs.tobytes() and not np.shares_memory(got, outputs)
 
 
 def test_systematic_noise_zero_percent():

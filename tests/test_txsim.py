@@ -383,5 +383,5 @@ def test_trace_round_trip(tmp_path):
     assert np.allclose(loaded["final"], trace.final, rtol=1e-15)
     assert len(loaded["post_attention"]) == TINY.L
     doc = trace_to_json_dict(trace, TINY, 9)
-    json.dumps(doc)  # fully serializable
+    json.dumps(doc, default=np.ndarray.tolist)  # fully serializable
     assert doc["mean_abs"] == trace.mean_abs()
