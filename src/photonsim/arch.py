@@ -12,6 +12,8 @@ import os
 from dataclasses import MISSING, asdict, dataclass, fields
 from functools import cached_property, lru_cache
 
+from .artifacts import write_json
+
 # The weight matrices each layer keeps resident on the optical hardware, as
 # (product class, rows, cols) with rows and cols in units of d, in the order
 # init_weights draws them. Each is the right operand of its class's product.
@@ -270,10 +272,7 @@ def load_catalogue(path: str | os.PathLike) -> list[ModelConfig]:
 
 def save_catalogue(path: str | os.PathLike, configs: list[ModelConfig]) -> None:
     """Write a JSON catalogue in the same array-of-objects format."""
-    rows = [c.to_json_dict() for c in configs]
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(rows, fh, indent=2)
-        fh.write("\n")
+    write_json(path, [c.to_json_dict() for c in configs])
 
 
 def find_model(name: str, catalogue: list[ModelConfig] | None = None) -> ModelConfig:

@@ -19,6 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .arch import json_fields
+from .artifacts import write_csv
 
 QUANTIZER_MODES = ("ema", "percentile", "lut")
 ROUNDING_MODES = ("deterministic", "stochastic")
@@ -77,6 +78,8 @@ class LookupTable:
 
     def __post_init__(self) -> None:
         levels = np.asarray(self.levels, dtype=float)
+        if not np.isfinite(levels).all():  # NaN slips through every comparison below
+            raise ValueError("levels must be finite")
         if levels.ndim != 1 or levels.size == 0:
             raise ValueError("levels must be a non-empty 1-D sequence")
         if np.any(np.diff(levels) < 0):
@@ -153,11 +156,7 @@ def load_lut(path: str | os.PathLike) -> LookupTable:
 
 
 def save_lut(path: str | os.PathLike, lut: LookupTable) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["level_index", "value"])
-        for i, value in enumerate(lut.levels):
-            writer.writerow([i, f"{value:.9g}"])
+    write_csv(path, ["level_index", "value"], enumerate(lut.levels))
 
 
 # --------------------------------------------------------------------------

@@ -214,6 +214,16 @@ def test_catalogue_round_trip(tmp_path):
     assert load_catalogue(path) == custom
 
 
+def test_save_catalogue_bytes(tmp_path):
+    path = tmp_path / "cat.json"
+    save_catalogue(path, [ModelConfig("tiny", 8, 16, 2, 1),
+                          ModelConfig("Gr\u00fcn-\u5149", 1024, 768, 12, 12)])
+    assert path.read_bytes() == (
+        b'[\n  {\n    "name": "tiny",\n    "n": 8,\n    "d": 16,\n    "h": 2,\n    "L": 1\n  },\n'
+        b'  {\n    "name": "Gr\\u00fcn-\\u5149",\n    "n": 1024,\n    "d": 768,\n    "h": 12,\n'
+        b'    "L": 12\n  }\n]\n')
+
+
 def test_load_catalogue_rejects_bad_shapes(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"not": "a list"}')

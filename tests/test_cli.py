@@ -412,8 +412,10 @@ def test_profile_parse_errors(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["simulate", "sweep"])
-@pytest.mark.parametrize("rows", ["0\n", "0,0.5\n\n", "zero,0.5\n", "0,half\n"],
-                         ids=["short_row", "blank_row", "non_integer_index", "non_numeric_value"])
+@pytest.mark.parametrize("rows", ["0\n", "0,0.5\n\n", "zero,0.5\n", "0,half\n",
+                                  "0,0\n1,0.5\n2,nan\n", "0,0\n1,nan\n2,1\n"],
+                         ids=["short_row", "blank_row", "non_integer_index", "non_numeric_value",
+                              "nan_last", "nan_middle"])
 def test_malformed_lut_is_parse_error(tmp_path, capsys, command, rows):
     lut = tmp_path / "lut.csv"
     lut.write_text("level_index,value\n" + rows)
@@ -468,6 +470,7 @@ BAD_CONTENTS.update({  # values out of range or of the wrong type; json reads Na
     **{f"table_{name}": {"policy": '{"scaling": "table", "table": {"768": %s}}' % value}
        for name, value in [("nan", "NaN"), ("inf", "Infinity"), ("minus_inf", "-Infinity"),
                            ("zero", "0"), ("negative", "-5"), ("bool", "true")]},
+    "table_misses_d": {"policy": '{"scaling": "table", "table": {"192": 120}}'},  # d is 768
     "reference_d_fraction": {"policy": '{"reference_d": 5.5}'},
     "reference_photons_inf": {"policy": '{"reference_photons_per_mac": Infinity}'},
     "input_bits_fraction": {"profile": '{"input_bits": 5.5}'},
@@ -498,6 +501,23 @@ def test_input_file_errors(tmp_path, capsys, monkeypatch, kind, failure, err_cla
     assert err.startswith(f"error:{err_class}: {name} file {path}: ")
     assert err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_heads_that_do_not_divide_d_are_parse_errors(tmp_path, capsys, monkeypatch, command):
+    # costing accepts such a model (the catalogue has two); a forward pass cannot split its heads
+    config = tmp_path / "h3.json"
+    config.write_text(json.dumps({"n": 4, "d": 8, "h": 3, "L": 1}))
+    catalogue = tmp_path / "catalogue.json"
+    catalogue.write_text(json.dumps([{"name": "odd", "n": 4, "d": 8, "h": 3, "L": 1}]))
+    monkeypatch.setenv("PHOTONSIM_CATALOGUE", str(catalogue))
+    out = tmp_path / "o"
+    for source, argv in ((f"config file {config}", ["--config", str(config)]),
+                         ("model odd", ["--model", "odd"])):
+        assert main([command, *argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error:parse: {source}: d must be divisible by h: d=8, h=3\n")
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [

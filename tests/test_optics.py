@@ -58,6 +58,9 @@ def test_lut_validation():
         LookupTable(levels=np.array([0.0, 0.5]))  # max != 1
     with pytest.raises(ValueError):
         LookupTable(levels=np.array([-0.1, 1.0]))
+    for levels in ([0.0, 0.5, math.nan], [0.0, math.nan, 1.0]):  # NaN fails every comparison
+        with pytest.raises(ValueError, match="levels must be finite"):
+            LookupTable(levels=np.array(levels))
     with pytest.raises(ValueError):
         LookupTable(levels=np.array([0.01, 1.0]), floor=0.05)  # below floor
     with pytest.raises(ValueError):
@@ -78,6 +81,12 @@ def test_lut_csv_round_trip(tmp_path):
     path2 = tmp_path / "lut2.csv"
     save_lut(path2, loaded)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_save_lut_bytes(tmp_path):
+    path = tmp_path / "lut.csv"
+    save_lut(path, LookupTable(levels=np.array([0.0, 1 / 3, 2 / 3, 1.0])))
+    assert path.read_bytes() == b"level_index,value\n0,0\n1,0.333333333\n2,0.666666667\n3,1\n"
 
 
 def test_load_lut_rejects_bad_files(tmp_path):
