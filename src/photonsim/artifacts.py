@@ -4,6 +4,7 @@ photonsim nor numpy, so the numpy-free cost model writes through it too."""
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 import os
@@ -23,9 +24,9 @@ _INDENT = "  "
 
 
 class _Pieces(list):
-    """A JSON text kept as a list of strings that are never joined: the rows
-    of arrays, written to the file one at a time. A string added in front
-    of it (a dict key) becomes its first piece."""
+    """A JSON text kept as a list of strings that are never joined: blocks of
+    rows of arrays, written to the file one at a time. A string added in
+    front of it (a dict key) becomes its first piece."""
 
     def __radd__(self, prefix: str) -> "_Pieces":
         return _Pieces([prefix, *self])
@@ -47,40 +48,153 @@ def _block(items: list, depth: int, brackets: str):
         return pieces
 
 
-def _row_texts(a: np.ndarray, depth: int) -> list[str]:
-    """JSON texts of the rows of 2-D float64 array `a` at nesting `depth`.
+def _float_text(x: float) -> str:
+    """x at 9 significant digits as JSON; nan and inf as strings."""
+    if not math.isfinite(x):
+        return encode_basestring_ascii(str(x))  # JSON has no literal for nan and inf
+    return repr(float(fmt(x)))
 
-    "%.9g" prints what repr(float(fmt(v))) prints, because 9 significant
-    digits survive the round trip through a normal double. It prints
-    another layout for an integer value (no ".", or "-0") and for exponents
-    9 to 15, and fewer digits may survive a subnormal. A row holding a value
-    within 1e-8 |v| of an integer (every |v| >= 5e7 is), a subnormal or a
-    non-finite value goes float by float through _encode."""
-    np = sys.modules["numpy"]  # imported by whoever made `a`
-    m = np.abs(a)
-    with np.errstate(invalid="ignore"):  # inf - inf; nan and inf fail the test
-        plain = ((m >= sys.float_info.min) & (np.abs(m - np.rint(m)) > 1e-8 * m)).all(axis=1)
-    template = _block(["%.9g"] * a.shape[1], depth, "[]")  # one % call per row
-    return [template % tuple(row) if ok else _encode(row, depth, {})
-            for row, ok in zip(map(np.ndarray.tolist, a), plain.tolist())]
+
+# "%.9g" of a normal float64 v is the integer n = rint(|v| * 10^k) in
+# [1e8, 1e9), with k = 8 - floor(log10 |v|), written with X = 8 - k:
+# fixed ("0.000123", "12.5") for -4 <= X < 9, else "1.25e-05". Every power
+# 10^0..10^22 is exact in float64, so |v| * 10^k is off the exact product by
+# at most half an ulp, 6e-8 below 1e9: rint gives the correctly rounded n
+# unless that product lies within 1e-6 of a half.
+_POW10 = [float(10 ** i) for i in range(23)]
+# An element's text sits in 27 slots: sign, "0.000", d0 p0 d1 p1 ... p7 d8
+# (the digits of n and the slots a point may follow them in), "e-XX".
+# Zero bytes are padding, dropped once the block is laid out.
+_SLOTS = 27
+_BLOCK = 1 << 12  # elements laid out at a time, so that the temporaries stay small
+
+
+@functools.cache
+def _layouts() -> np.ndarray:
+    """The slots of "%.9g" for each X in -14..8, count of significant digits
+    and sign, at row ((X + 14) * 9 + digits - 1) * 2 + negative; a digit slot
+    holds b"0", to which the digit is added. The last row is blank."""
+    np = sys.modules["numpy"]
+    rows = []
+    for x in range(-14, 9):
+        for digits in range(1, 10):
+            for negative in (0, 1):
+                row = bytearray(_SLOTS)
+                row[0] = ord("-") * negative
+                kept = max(digits, x + 1) if x >= 0 else digits  # an integer part keeps its zeros
+                row[6:6 + 2 * kept:2] = b"0" * kept
+                if x >= 0:
+                    if digits > x + 1:
+                        row[7 + 2 * x] = ord(".")
+                elif x >= -4:
+                    row[1:2 - x] = b"0." + b"0" * (-x - 1)
+                else:
+                    if digits > 1:
+                        row[7] = ord(".")
+                    row[23:] = b"e-%02d" % -x
+                rows.append(bytes(row))
+    rows.append(bytes(_SLOTS))
+    return np.frombuffer(b"".join(rows), np.uint8).reshape(len(rows), _SLOTS)
+
+
+def _rows_text(block: np.ndarray, cells: np.ndarray, head: str, tail: str) -> str:
+    """The text of the rows of 2-D float64 array `block`, each between
+    `head` and `tail`. `cells` holds each layout's element bytes, separator
+    first and comma last.
+
+    An element is written as _float_text writes it. That is its "%.9g" when
+    it is plain: normal and not within 1e-8 |v| of an integer, where "%.9g"
+    drops the point. Python writes a value that is not plain, or whose
+    "%.9g" the arithmetic cannot vouch for."""
+    np = sys.modules["numpy"]
+    v = block.ravel()
+    m = np.abs(v)
+    with np.errstate(all="ignore"):  # the fallback's inf, nan and 0 go through too
+        plain = m >= sys.float_info.min
+        plain &= np.abs(m - np.rint(m)) > 1e-8 * m  # every |v| >= 5e7 fails
+        fast = plain.copy()
+        k = np.log10(m)
+        np.floor(k, out=k)
+        np.subtract(8, k, out=k)
+        k = np.fmax(np.fmin(k, 22), 0).astype(np.intp)
+        s = m * np.array(_POW10)[k]
+        n = np.rint(s)
+        fast &= np.abs(s - n) < 0.5 - 1e-6
+        # out of range where k was cut to 0..22, or where log10 is off by one
+        # next to a power of ten
+        fast &= (s >= 1e8) & (s < 1e9)
+        n = n.astype(np.uint32)
+    carry = n == 10 ** 9
+    n[carry] = 10 ** 8
+    prefixes = n // np.array([10 ** (8 - j) for j in range(9)], np.uint32)[:, None]
+    digits = np.empty(prefixes.shape, np.uint8)
+    digits[0] = prefixes[0]
+    np.subtract(prefixes[1:], 10 * prefixes[:-1], out=digits[1:], casting="unsafe")
+    significant = ((digits != 0) * np.arange(1, 10, dtype=np.uint8)[:, None]).max(axis=0)
+    # 22 - k + carry is X + 14
+    layout = ((22 - k + carry) * 9 + significant - 1) * 2 + np.signbit(v)
+    layout[~fast] = len(cells) - 1
+
+    rows, cols = block.shape
+    width = cells.shape[1]
+    text = np.empty((rows, len(head) + cols * width + len(tail)), np.uint8)
+    text[:, :len(head)] = np.frombuffer(head.encode("ascii"), np.uint8)
+    text[:, text.shape[1] - len(tail):] = np.frombuffer(tail.encode("ascii"), np.uint8)
+    body = text[:, len(head):len(head) + cols * width].reshape(rows, cols, width)
+    np.take(cells, layout.reshape(rows, cols), axis=0, out=body)
+    first = width - _SLOTS - 1 + 6  # the slot of d0
+    for j in range(9):
+        body[:, :, first + 2 * j] += digits[j].reshape(rows, cols)
+    body[:, -1, -1] = 0  # no comma after a row's last element
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        # in one % call: "%.9g" of a plain value, _float_text of another, padded
+        # to the slots (a float's text has at most 24 characters)
+        values, plain = v[slow].tolist(), plain[slow].tolist()
+        as_float, as_text = f"%-{_SLOTS}.9g", f"%-{_SLOTS}s"
+        template = "".join([as_float if ok else as_text for ok in plain])
+        texts = template % tuple([x if ok else _float_text(x) for x, ok in zip(values, plain)])
+        body[slow // cols, slow % cols, -1 - _SLOTS:-1] = np.frombuffer(
+            texts.encode("ascii").replace(b" ", b"\0"), np.uint8).reshape(-1, _SLOTS)
+    return text.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def _matrix_text(a: np.ndarray, depth: int) -> _Pieces:
+    """The text of a.tolist() at nesting `depth` for a non-empty 2-D float64
+    array `a`, laid out by numpy a block of rows at a time: one piece per
+    block."""
+    np = sys.modules["numpy"]
+    layouts = _layouts()
+    separator = np.frombuffer(("\n" + _INDENT * (depth + 2)).encode("ascii"), np.uint8)
+    cells = np.concatenate([np.broadcast_to(separator, (len(layouts), separator.size)), layouts,
+                            np.full((len(layouts), 1), ord(","), np.uint8)], axis=1)
+    rows, cols = a.shape
+    step = max(1, _BLOCK // cols)
+    pad = "\n" + _INDENT * (depth + 1)
+    pieces = _Pieces(["["])
+    for start in range(0, rows, step):
+        pieces.append(_rows_text(a[start:start + step], cells, pad + "[", pad + "],"))
+    pieces[-1] = pieces[-1][:-1]  # no comma after the last row
+    pieces.append("\n" + _INDENT * depth + "]")
+    return pieces
 
 
 def _array_text(a: np.ndarray, depth: int, seen: dict):
-    """The text of a.tolist(); for a non-empty 2-D float64 array _Pieces
-    holding its rows. Such an array is formatted once per document:
-    `seen` maps its id to its row texts, which an occurrence at another
-    depth shifts, as a formatted float holds no newline."""
+    """The text of a.tolist(); for a non-empty 2-D float64 array _Pieces.
+    Such an array is formatted once per document: `seen` maps its id to its
+    text, which an occurrence at another depth shifts, as a formatted float
+    holds no newline."""
     np = sys.modules["numpy"]
     if type(a) is not np.ndarray or a.dtype != np.float64 or a.ndim != 2 or not a.size:
         return _encode(a.tolist(), depth, seen)
-    first, row_depth, rows = seen.get(id(a), (None, 0, None))
+    first, first_depth, text = seen.get(id(a), (None, 0, None))
     if first is not a:
-        row_depth, rows = depth + 1, _row_texts(a, depth + 1)
-        seen[id(a)] = (a, row_depth, rows)
-    elif row_depth != depth + 1:
-        old, new = "\n" + _INDENT * row_depth, "\n" + _INDENT * (depth + 1)
-        rows = [text.replace(old, new) for text in rows]
-    return _block([_Pieces([row]) for row in rows], depth, "[]")
+        first_depth, text = depth, _matrix_text(a, depth)
+        seen[id(a)] = (a, first_depth, text)
+    elif first_depth != depth:
+        old, new = "\n" + _INDENT * first_depth, "\n" + _INDENT * depth
+        text = _Pieces(piece.replace(old, new) for piece in text)
+    return text
 
 
 def _encode(obj, depth: int, seen: dict):
@@ -100,9 +214,7 @@ def _encode(obj, depth: int, seen: dict):
     if isinstance(obj, int):
         return int.__repr__(obj)
     if isinstance(obj, float):
-        if not math.isfinite(obj):
-            return encode_basestring_ascii(str(obj))  # JSON has no literal for nan and inf
-        return repr(float(fmt(obj)))
+        return _float_text(obj)
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"

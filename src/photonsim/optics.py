@@ -383,7 +383,15 @@ def quantize(values, spec: QuantizerSpec, lut: LookupTable | None = None,
             n_levels = 2
         levels = np.linspace(0.0, 1.0, n_levels)
 
-    snapped = _snap(normalized, levels, spec.rounding, rng, table)
+    # From 256 KiB on, numpy evaluates the product below in place in the
+    # np.sign temporary, which has the layout of `values`. A deterministic
+    # snap of an F-ordered operand that large runs on its transpose, so that
+    # the product walks both operands in one order.
+    transpose = (spec.rounding == "deterministic" and normalized.nbytes >= 1 << 18
+                 and normalized.flags.f_contiguous and not normalized.flags.c_contiguous)
+    snapped = _snap(normalized.T if transpose else normalized, levels, spec.rounding, rng, table)
+    if transpose:
+        snapped = snapped.T
     del normalized, magnitudes
     # out of place: numpy picks the layout from both operands, and the bits of
     # the matmuls downstream can depend on that layout

@@ -9,6 +9,7 @@ import math
 import os
 import re
 import stat
+import sys
 import tempfile
 import warnings
 
@@ -909,6 +910,48 @@ def test_write_json_float_matrices_match_reference(tmp_path, matrix):
         assert_written_like_reference(
             path, {"deep": [[matrix]], "top": matrix, "deeper": [[[matrix]]], "again": [[matrix]]},
             written={"deep": [[array]], "top": array, "deeper": [[[array]]], "again": [[array]]})
+
+
+def _ulps_from(x, steps):
+    for _ in range(abs(steps)):
+        x = math.nextafter(x, math.copysign(math.inf, steps))
+    return x
+
+
+# values at the edges of the numpy "%.9g": its scaled fraction next to a half,
+# its exponent next to a power of ten, and the values it leaves to Python
+edge_floats = st.one_of(
+    st.integers(0, 2 ** 64 - 1).map(lambda bits: np.uint64(bits).view(np.float64).item()),
+    st.builds(lambda digits, power, steps, sign: sign * _ulps_from((digits + 0.5) * 10.0 ** power, steps),
+              st.integers(10 ** 8, 10 ** 9 - 1), st.integers(-24, 0), st.integers(-3, 3),
+              st.sampled_from([1, -1])),
+    st.builds(lambda power, steps, sign: sign * _ulps_from(10.0 ** power, steps),
+              st.integers(-20, 10), st.integers(-1, 1), st.sampled_from([1, -1])),
+    st.sampled_from(GUARD_EDGES),
+    st.floats(-sys.float_info.min, sys.float_info.min),  # ±0 and ±subnormals
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.builds(lambda v, sign: sign * v, st.floats(5e7, 1e20), st.sampled_from([1, -1])),
+    st.builds(lambda n, steps: _ulps_from(float(n), steps), st.integers(-10 ** 9, 10 ** 9),
+              st.integers(-3, 3)),
+    st.floats(width=64),
+)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(values=st.lists(edge_floats, min_size=1, max_size=40), width=st.integers(1, 9),
+       tall=st.booleans(), depth=st.integers(0, 3))
+def test_vectorized_float_text_matches_reference(tmp_path, values, width, tall, depth):
+    # a tall array spans two blocks of rows (artifacts._BLOCK elements each)
+    rows = max(-(-len(values) // width), tall * (4096 // width + 1))
+    matrix = np.resize(np.array(values), (rows, width))
+    spaced = np.zeros((2 * rows, 3 * width))
+    spaced[::2, 1::3] = matrix
+    for array in (matrix, np.asfortranarray(matrix), spaced[::2, 1::3]):
+        written, expected = array, matrix.tolist()
+        for _ in range(depth):
+            written, expected = [written], [expected]
+        assert_written_like_reference(tmp_path / "doc.json", expected, written=written)
 
 
 def test_trace_documents_keep_their_bytes(tmp_path):

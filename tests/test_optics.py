@@ -267,6 +267,48 @@ def test_quantize_lut_matches_binary_search(lut, has_table):
         _assert_same_snap(got, want)
 
 
+def _quantize_in_given_order(values, spec, lut=None, rng=None):
+    """quantize's lut and percentile modes with the snap always run on
+    `values` in its own layout: the reference for the transposed snap."""
+    values = np.asarray(values, dtype=float)
+    magnitudes = np.abs(values)
+    scale = photonsim.optics._clip_scale(magnitudes, spec.clip_percentile)
+    if scale == 0.0:
+        return np.zeros_like(values)
+    if values.ndim == 0:
+        return _quantize_in_given_order(values.reshape(1), spec, lut, rng)[0]
+    normalized = np.minimum(np.divide(magnitudes, scale, out=magnitudes), 1.0, out=magnitudes)
+    if spec.mode == "lut":
+        levels, table = lut.unique_levels, lut.snap_table
+    else:
+        levels, table = np.linspace(0.0, 1.0, max(2, 2 ** (spec.bits - (values.min() < 0)))), None
+    out = np.sign(values) * photonsim.optics._snap(normalized, levels, spec.rounding, rng, table)
+    out *= scale
+    return out
+
+
+@pytest.mark.parametrize("spec,lut", [
+    (QuantizerSpec(mode="lut"), lut_synthesize(128, 256, floor=0.004)),
+    (QuantizerSpec(mode="percentile", bits=6), None),
+    (QuantizerSpec(mode="percentile", bits=4, clip_percentile=99.0), None),
+    (QuantizerSpec(mode="percentile", rounding="stochastic"), None),
+], ids=["lut", "percentile", "percentile-clipped", "stochastic"])
+@pytest.mark.parametrize("shape", [(40, 30), (256, 160)], ids=["small", "elided"])
+@pytest.mark.parametrize("special", [(), (0.0, -0.0), (np.nan,), (np.inf, -np.inf)],
+                         ids=["finite", "zeros", "nan", "inf"])
+def test_quantize_keeps_bits_and_strides_of_snapping_in_given_order(spec, lut, shape, special):
+    # 256x160 float64 is 320 KiB: numpy then writes the sign product in place
+    base = derive_rng(23).normal(size=(shape[0], 2 * shape[1]))
+    base.flat[:len(special)] = special
+    for values in (base[:, :shape[1]].copy(), np.asfortranarray(base[:, :shape[1]]),
+                   base[:, ::2], base[:, ::2].T, np.float64(base[0, 0]), np.array(-0.0)):
+        with np.errstate(invalid="ignore"):  # inf / inf and NaN
+            want = _quantize_in_given_order(values, spec, lut, derive_rng(24))
+            got = quantize(values, spec, lut=lut, rng=derive_rng(24))
+        assert type(got) is type(want)
+        _assert_same_snap(np.asarray(got), np.asarray(want))
+
+
 def test_quantize_scalar_input():
     lut = lut_synthesize(8, 8)
     assert quantize(0.0, QuantizerSpec(mode="lut"), lut=lut) == 0.0
