@@ -88,14 +88,14 @@ def write_manifest(out_dir: str, command: str, seed: int, resolved: dict,
     return path
 
 
-def _emit(args, command: str, resolved: dict, files: dict, written=()) -> list[str]:
-    """Write each of `files` whose extension --format selects, then the manifest,
-    which also lists the `written` paths. A payload is a JSON document or, for
-    a .csv name, a (header, rows) pair. A NaN or an infinity (a result past
-    float64) in a file to be written is an over_limit error, raised before
-    any file is written."""
-    files = {name: payload for name, payload in files.items()
-             if args.format in (name.rsplit(".", 1)[1], "both")}
+def _emit(args, command: str, resolved: dict, files: dict, always=None) -> None:
+    """Create --out and write `always` and each of `files` whose extension
+    --format selects, then the manifest that lists them. A payload is a JSON
+    document or, for a .csv name, a (header, rows) pair. A NaN or an infinity
+    (a result past float64) in a file to be written is an over_limit error,
+    raised before any file is written."""
+    files = {**(always or {}), **{name: payload for name, payload in files.items()
+                                  if args.format in (name.rsplit(".", 1)[1], "both")}}
     for name, payload in files.items():
         # a CSV payload's rows are flat: one comprehension, not a call per cell
         numbers = ([v for row in payload[1] for v in row if isinstance(v, float)]
@@ -103,7 +103,7 @@ def _emit(args, command: str, resolved: dict, files: dict, written=()) -> list[s
         if _non_finite(numbers):
             raise CliError("over_limit", f"a result left the float64 range: {name}")
     os.makedirs(args.out or ".", exist_ok=True)
-    outputs = list(written)
+    outputs = []
     for name, payload in files.items():
         path = os.path.join(args.out, name)
         if name.endswith(".csv"):
@@ -111,9 +111,7 @@ def _emit(args, command: str, resolved: dict, files: dict, written=()) -> list[s
         else:
             write_json(path, payload)
         outputs.append(path)
-    outputs.append(write_manifest(args.out, command, args.seed, resolved, outputs,
-                                  args.timestamp))
-    return outputs
+    write_manifest(args.out, command, args.seed, resolved, outputs, args.timestamp)
 
 
 # --------------------------------------------------------------------------
@@ -227,33 +225,32 @@ def cmd_energy(args) -> list[str]:
         lines.append(f"{model.name}: total {fmt(report.total())} J, "
                      + ", ".join(f"{k} {fmt(v)}x" for k, v in adv.items()))
     header = ["model", "n", "d", "h", "L", "params", "total_macs", "total_j"]
-    outputs = _emit(args, "energy", resolved, {
+    _emit(args, "energy", resolved, {
         "energy.json": [r.to_json_dict() for r in reports],
         "energy.csv": (["model", "layer_class", "category", "joules"],
                        [row for r in reports for row in r.csv_rows()]),
         "energy_summary.csv": (header + [f"advantage_{name}" for name in baselines],
                                summary),
     })
-    for line in lines:  # only results that _emit kept
-        print(line)
-    return outputs
+    return lines
 
 
 def cmd_requirements(args) -> list[str]:
     models, resolved = _resolve_models(args)
     resolved["core_size"] = args.core_size
-    rows = []
+    rows, lines = [], []
     for model in models:
         req = hardware_requirements(model, args.core_size)
         rows.append([model.name, req.input_vector_elements, req.detectors,
                      req.mvm_cores, req.sram_bytes])
-        print(f"{model.name}: {req.input_vector_elements} inputs, {req.detectors} detectors, "
-              f"{req.mvm_cores} cores, {req.sram_bytes / 1e6:.4g} MB SRAM")
+        lines.append(f"{model.name}: {req.input_vector_elements} inputs, {req.detectors} "
+                     f"detectors, {req.mvm_cores} cores, {req.sram_bytes / 1e6:.4g} MB SRAM")
     header = ["model", "input_vector_elements", "detectors", "mvm_cores", "sram_bytes"]
-    return _emit(args, "requirements", resolved, {
+    _emit(args, "requirements", resolved, {
         "requirements.csv": (header, rows),
         "requirements.json": [dict(zip(header, row)) for row in rows],
     })
+    return lines
 
 
 def cmd_chunking(args) -> list[str]:
@@ -275,10 +272,11 @@ def cmd_chunking(args) -> list[str]:
                              onn, gpu, energy_ratio(macs * a100, onn), energy_ratio(gpu, onn)])
     header = ["model", "memory_weights", "batch_size", "chunks",
               "onn_j", "gpu_chunked_j", "advantage_a100", "advantage_chunked_gpu"]
-    return _emit(args, "chunking", resolved, {
+    _emit(args, "chunking", resolved, {
         "chunking.csv": (header, rows),
         "chunking.json": [dict(zip(header, row)) for row in rows],
     })
+    return []
 
 
 def cmd_simulate(args) -> list[str]:
@@ -293,15 +291,7 @@ def cmd_simulate(args) -> list[str]:
                           OpticalBackend(noise, input_lut=input_lut, weight_lut=weight_lut))
         dev = deviation(optical.final, digital.final)
 
-    # one trace document in memory at a time: they dominate peak RSS
-    os.makedirs(args.out or ".", exist_ok=True)
-    traces = []
-    for name, trace in (("digital", digital), ("optical", optical)):
-        path = os.path.join(args.out, f"simulate_{name}_trace.json")
-        write_json(path, trace_to_json_dict(trace, config, args.seed))
-        traces.append(path)
-    print(f"{config.name}: deviation {fmt(dev)}")
-    return _emit(args, "simulate", resolved, {
+    _emit(args, "simulate", resolved, {
         "simulate_deviation.json": {
             "model": config.name, "seed": args.seed,
             "ff_noise_percent": args.ff_noise, "attn_noise_percent": args.attn_noise,
@@ -311,7 +301,10 @@ def cmd_simulate(args) -> list[str]:
         "simulate_deviation.csv": (
             ["model", "ff_percent", "attn_percent", "seed", "deviation"],
             [[config.name, args.ff_noise, args.attn_noise, args.seed, dev]]),
-    }, written=traces)
+    }, always={  # the documents hold the passes' own arrays, not copies
+        f"simulate_{name}_trace.json": trace_to_json_dict(trace, config, args.seed)
+        for name, trace in (("digital", digital), ("optical", optical))})
+    return [f"{config.name}: deviation {fmt(dev)}"]
 
 
 def cmd_sweep(args) -> list[str]:
@@ -326,23 +319,22 @@ def cmd_sweep(args) -> list[str]:
             for j, attn in enumerate(args.attn_grid):
                 rows.append([ff, attn, seed, float(surface[i, j])])
 
-    print(f"{config.name}: {len(rows)} sweep cells written")
     header = ["ff_percent", "attn_percent", "seed", "deviation"]
-    return _emit(args, "sweep", resolved, {
+    _emit(args, "sweep", resolved, {
         "sweep.csv": (header, rows),
         "sweep.json": [dict(zip(header, row)) for row in rows],
     })
+    return [f"{config.name}: {len(rows)} sweep cells written"]
 
 
 def cmd_catalogue(args) -> list[str]:
     catalogue, source = _get_catalogue()
     rows = [[c.name, c.n, c.d, c.h, c.L, c.param_count] for c in catalogue]
-    for row in rows:
-        print(f"{row[0]}: n={row[1]} d={row[2]} h={row[3]} L={row[4]} params={row[5]}")
-    return _emit(args, "catalogue", {"catalogue": source}, {
+    _emit(args, "catalogue", {"catalogue": source}, {
         "catalogue.json": [c.to_json_dict() for c in catalogue],
         "catalogue.csv": (["name", "n", "d", "h", "L", "params"], rows),
     })
+    return [f"{r[0]}: n={r[1]} d={r[2]} h={r[3]} L={r[4]} params={r[5]}" for r in rows]
 
 
 # --------------------------------------------------------------------------
@@ -428,7 +420,8 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         args.timestamp = _timestamp()  # a bad SOURCE_DATE_EPOCH fails before any work
-        args.handler(args)
+        for line in args.handler(args):  # a command's result lines, once its files are written
+            print(line)
         return 0
     except CliError as exc:
         error = exc

@@ -226,11 +226,10 @@ def _energy_report(config: ModelConfig, profile: HardwareProfile, photons_per_ma
                         cells=cells, baselines=dict(baselines or DIGITAL_BASELINES))
 
 
-def electrical_energy(config: ModelConfig, profile: HardwareProfile | None = None,
-                      baselines: dict[str, float] | None = None) -> EnergyReport:
+def electrical_energy(config: ModelConfig, profile: HardwareProfile | None = None) -> EnergyReport:
     """Electrical cells only: load/detect per product class, weight
     maintenance per MAC, and the digital-function memory traffic."""
-    return _energy_report(config, profile or default_profile(), 0.0, baselines)
+    return _energy_report(config, profile or default_profile(), 0.0, None)
 
 
 def total_energy(config: ModelConfig, profile: HardwareProfile | None = None,
@@ -271,8 +270,8 @@ class ChunkingScenario:
 
 
 def chunked_onn_energy(config: ModelConfig, profile: HardwareProfile | None = None,
-                       policy: PhotonPolicy | None = None, *, scenario: ChunkingScenario,
-                       baselines: dict[str, float] | None = None) -> EnergyReport:
+                       policy: PhotonPolicy | None = None, *,
+                       scenario: ChunkingScenario) -> EnergyReport:
     """Per-inference energy when weights are streamed in k chunks per layer.
 
     If every weight fits in the in-place memory there is nothing to stream
@@ -283,7 +282,7 @@ def chunked_onn_energy(config: ModelConfig, profile: HardwareProfile | None = No
     counts.
     """
     profile = profile or default_profile()
-    report = total_energy(config, profile, policy, baselines)
+    report = total_energy(config, profile, policy)
     if config.param_count <= scenario.memory_capacity_weights:
         return report  # whole model resident: degenerate chunking
     k = scenario.chunks(config.layer_weight_count)

@@ -15,11 +15,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .arch import WEIGHT_MATRICES, ModelConfig
+from .arch import PRODUCT_CLASSES, WEIGHT_MATRICES, ModelConfig
+from .artifacts import _atomic_write
 from .optics import (LookupTable, NoiseSpec, derive_rng, derive_seed, lut_snap,
                      optical_matmul)
 
 LN_EPS = 1e-5
+
+_KIND = {name: "attn" for name in PRODUCT_CLASSES} | {name: "ff" for name, _, _ in WEIGHT_MATRICES}
 
 
 @dataclass
@@ -76,7 +79,7 @@ class ForwardTrace:
 class DigitalBackend:
     """Exact float64 matrix products."""
 
-    def matmul(self, a, b, kind: str = "ff", op: int = 0) -> np.ndarray:
+    def matmul(self, a, b, product: str, op: int) -> np.ndarray:
         return a @ b
 
 
@@ -90,6 +93,8 @@ class OpticalBackend:
     (infinite photons, 0% systematic, no LUTs) the product is computed
     directly, keeping the noiseless trace identical to the digital backend.
 
+    A product's PRODUCT_CLASSES name sets its noise kind (_KIND): the classes
+    of the resident WEIGHT_MATRICES are "ff", the attention products "attn".
     Per-product RNG streams derive from (noise.seed, op-counter), so traces
     are reproducible regardless of scheduling or backend reuse.
 
@@ -110,7 +115,7 @@ class OpticalBackend:
                 and self.noise.systematic_percent_attn == 0
                 and self.input_lut is None and self.weight_lut is None)
 
-    def matmul(self, a, b, kind: str = "ff", op: int = 0) -> np.ndarray:
+    def matmul(self, a, b, product: str, op: int) -> np.ndarray:
         if self._noiseless():
             return a @ b
         # weight_lut still counts in _noiseless(): snapped weights must take
@@ -118,7 +123,7 @@ class OpticalBackend:
         out = optical_matmul(
             np.asarray(b).T, np.asarray(a).T, self.noise, input_lut=self.input_lut,
             weight_lut=None if self.weights_snapped else self.weight_lut,
-            seed=derive_rng(self.noise.seed, op), kind=kind)
+            seed=derive_rng(self.noise.seed, op), kind=_KIND[product])
         return out.T
 
 
@@ -150,22 +155,22 @@ def forward(config: ModelConfig, weights: TransformerWeights, x, backend=None) -
     post_attention, post_ff = [], []
     for layer in weights.layers:
         h = _layernorm(x, layer.ln1_gain, layer.ln1_bias)
-        qkv = backend.matmul(h, layer.qkv, kind="ff", op=op); op += 1
+        qkv = backend.matmul(h, layer.qkv, "qkv", op); op += 1
         q, k, v = np.split(qkv, 3, axis=1)
         heads = []
         for head in range(config.h):
             sl = slice(head * d_h, (head + 1) * d_h)
-            scores = backend.matmul(q[:, sl], k[:, sl].T, kind="attn", op=op); op += 1
+            scores = backend.matmul(q[:, sl], k[:, sl].T, "attn_qk", op); op += 1
             attn = _softmax(scores / math.sqrt(d_h))
-            heads.append(backend.matmul(attn, v[:, sl], kind="attn", op=op)); op += 1
+            heads.append(backend.matmul(attn, v[:, sl], "attn_av", op)); op += 1
         context = np.concatenate(heads, axis=1)
-        x = x + backend.matmul(context, layer.out_proj, kind="ff", op=op); op += 1
+        x = x + backend.matmul(context, layer.out_proj, "out_proj", op); op += 1
         post_attention.append(x)  # x is rebound, never written in place
 
         h = _layernorm(x, layer.ln2_gain, layer.ln2_bias)
-        f = backend.matmul(h, layer.ff1, kind="ff", op=op); op += 1
+        f = backend.matmul(h, layer.ff1, "ff1", op); op += 1
         f = _relu6(f)
-        x = x + backend.matmul(f, layer.ff2, kind="ff", op=op); op += 1
+        x = x + backend.matmul(f, layer.ff2, "ff2", op); op += 1
         post_ff.append(x)
     return ForwardTrace(post_attention=post_attention, post_ff=post_ff, final=x)
 
@@ -234,9 +239,10 @@ def trace_to_json_dict(trace: ForwardTrace, config: ModelConfig, seed: int) -> d
 
 
 def save_trace(path: str | os.PathLike, trace: ForwardTrace, config: ModelConfig, seed: int) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(trace_to_json_dict(trace, config, seed), fh, default=np.ndarray.tolist)
-        fh.write("\n")
+    """The trace as compact JSON at full precision, encoded before the file is
+    written atomically: a trace that cannot be encoded leaves no file."""
+    text = json.dumps(trace_to_json_dict(trace, config, seed), default=np.ndarray.tolist)
+    _atomic_write(path, [text, "\n"])
 
 
 def load_trace(path: str | os.PathLike) -> dict:

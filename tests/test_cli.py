@@ -524,14 +524,19 @@ def test_heads_that_do_not_divide_d_are_parse_errors(tmp_path, capsys, monkeypat
 @pytest.mark.parametrize("argv", [
     ["energy", "--model", "GPT2-117M", "--out", "FILE"],
     ["catalogue", "--out", "FILE/sub"],
-], ids=["out_is_file", "out_under_file"])
+    *([command, "--config", "CONFIG", "--out", "FILE/sub"]
+      for command in ("requirements", "chunking", "simulate", "sweep")),
+], ids=["out_is_file", "out_under_file", "requirements", "chunking", "simulate", "sweep"])
 def test_unwritable_output_is_io_error(tmp_path, capsys, argv):
+    # stdout shows only results whose files were written
     taken = tmp_path / "taken"
     taken.write_text("")
-    assert main([a.replace("FILE", str(taken)) for a in argv]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:io: [Errno ")
-    assert err.count("\n") == 1
+    config = write_tiny_config(tmp_path)
+    assert main([config if a == "CONFIG" else a.replace("FILE", str(taken)) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:io: [Errno ")
+    assert captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [

@@ -12,7 +12,7 @@ from photonsim import (DigitalBackend, ModelConfig, NoiseSpec, OpticalBackend,
                        compute_breakdown, derive_rng, derive_seed, deviation, forward,
                        init_weights, load_trace, lut_synthesize, make_input, noise_sweep,
                        save_trace, trace_to_json_dict)
-from photonsim.arch import WEIGHT_MATRICES
+from photonsim.arch import PRODUCT_CLASSES, WEIGHT_MATRICES
 from photonsim.txsim import _layernorm, _relu6, _softmax
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -201,36 +201,44 @@ def test_forward_input_validation():
 
 
 class RecordingBackend:
-    """DigitalBackend's products, each logged as (kind, left shape, right shape)."""
+    """DigitalBackend's products, each logged as (class, left shape, right shape)."""
 
     def __init__(self):
         self.inner = DigitalBackend()
         self.products = []
 
-    def matmul(self, a, b, kind="ff", op=0):
-        self.products.append((kind, np.shape(a), np.shape(b)))
-        return self.inner.matmul(a, b, kind=kind, op=op)
+    def matmul(self, a, b, product, op):
+        self.products.append((product, np.shape(a), np.shape(b)))
+        return self.inner.matmul(a, b, product, op)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(n=st.integers(1, 6), head_dim=st.integers(1, 4), h=st.integers(1, 4), L=st.integers(1, 3))
 def test_forward_products_match_compute_breakdown(n, head_dim, h, L):
-    # the simulator's products are the ones the cost model counts: ff products
-    # keep their weights resident and load m*k, attn products load m*k + k*p
+    # the simulator's products are the ones the cost model counts, class by
+    # class: ff products keep their weights resident and load m*k, attn
+    # products load m*k + k*p
     cfg = ModelConfig("drawn", n=n, d=head_dim * h, h=h, L=L)
     backend = RecordingBackend()
     forward(cfg, init_weights(cfg, 0), make_input(cfg, 0), backend)
     assert len(backend.products) == L * (2 * h + 4)
+    kinds = {"ff": [name for name, _, _ in WEIGHT_MATRICES], "attn": ["attn_qk", "attn_av"]}
+    kind_of = {c: kind for kind, classes in kinds.items() for c in classes}
     totals = {"ff": [0, 0, 0], "attn": [0, 0, 0]}
-    for kind, (m, k), (_, p) in backend.products:
+    class_totals = {c: [0, 0, 0] for c in PRODUCT_CLASSES}
+    for product, (m, k), (_, p) in backend.products:
+        kind = kind_of[product]
         loads = m * k + (k * p if kind == "attn" else 0)
         for i, count in enumerate((m * k * p, loads, m * p)):
             totals[kind][i] += count
+            class_totals[product][i] += count
     products = compute_breakdown(cfg).products
-    for kind, classes in (("ff", [name for name, _, _ in WEIGHT_MATRICES]),
-                          ("attn", ["attn_qk", "attn_av"])):
+    fields = ("macs", "loads", "detects")
+    for kind, classes in kinds.items():
         assert totals[kind] == [L * sum(getattr(products[c], field) for c in classes)
-                                for field in ("macs", "loads", "detects")], kind
+                                for field in fields], kind
+    for c in PRODUCT_CLASSES:
+        assert class_totals[c] == [L * getattr(products[c], field) for field in fields], c
 
 
 def test_optical_backend_noiseless_equals_digital_exactly():
@@ -370,6 +378,23 @@ def test_ff_noise_hurts_more_than_attn_noise():
 
 # --------------------------------------------------------------------------
 # trace serialization
+
+
+@pytest.mark.parametrize("bad", [np.array([object()]), np.array([1j])],
+                         ids=["mean_abs_fails", "encoding_fails"])
+def test_save_trace_that_fails_leaves_no_file(tmp_path, bad):
+    trace = forward(TINY, init_weights(TINY, 9), make_input(TINY, 9))
+    broken = replace(trace, post_ff=[bad] * TINY.L)
+    path = tmp_path / "trace.json"
+    with pytest.raises(TypeError):
+        save_trace(path, broken, TINY, 9)
+    assert list(tmp_path.iterdir()) == []
+    save_trace(path, trace, TINY, 9)
+    saved = path.read_bytes()
+    with pytest.raises(TypeError):
+        save_trace(path, broken, TINY, 9)
+    assert path.read_bytes() == saved
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_trace_round_trip(tmp_path):
