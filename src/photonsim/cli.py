@@ -114,6 +114,21 @@ def _emit(args, command: str, resolved: dict, files: dict, always=None) -> None:
     write_manifest(args.out, command, args.seed, resolved, outputs, args.timestamp)
 
 
+def _check_out(out: str) -> None:
+    """Raise, before a command computes what it could not write, the error
+    that _emit's makedirs would raise where --out or its nearest existing
+    ancestor is not a directory. The directory itself is made only by _emit."""
+    import errno
+    path, missing = out, None  # missing: the shallowest missing directory, made first
+    while path and not os.path.exists(path):
+        path, missing = os.path.dirname(path), path
+    if os.path.isdir(path or os.curdir):
+        return
+    if missing is None:
+        raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), out)
+    raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), missing)
+
+
 # --------------------------------------------------------------------------
 # Shared resolution
 
@@ -200,6 +215,7 @@ def _simulation_inputs(args, noise: dict) -> tuple[ModelConfig, dict, tuple, flo
         raise CliError("parse", f"{source}: {exc}")
     luts = tuple(_read(f"{side} LUT", path, lut_from_csv) if path else None
                  for side, path in (("input", args.input_lut), ("weight", args.weight_lut)))
+    _check_out(args.out)
     return (config, resolved, luts, _PHOTONS(args.photons),
             init_weights(config, args.seed), make_input(config, args.seed))
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .arch import PRODUCT_CLASSES, WEIGHT_MATRICES, ModelConfig
+from .arch import PRODUCT_CLASSES, WEIGHT_MATRICES, ModelConfig, compute_breakdown
 from .artifacts import _atomic_write
 from .optics import (LookupTable, NoiseSpec, derive_rng, derive_seed, lut_snap,
                      optical_matmul)
@@ -175,6 +175,11 @@ def forward(config: ModelConfig, weights: TransformerWeights, x, backend=None) -
     return ForwardTrace(post_attention=post_attention, post_ff=post_ff, final=x)
 
 
+# the callables an instrumented run replaces; noise_sweep then keeps every
+# cell in this process, where the instrumentation sees it
+_UNINSTRUMENTED = (forward, OpticalBackend.matmul)
+
+
 def make_input(config: ModelConfig, seed: int = 0) -> np.ndarray:
     """Seeded Gaussian n x d input at the embedding init scale."""
     return derive_rng(seed, 0xD0).normal(0.0, 0.02, size=(config.n, config.d))
@@ -196,7 +201,9 @@ def noise_sweep(config: ModelConfig, weights: TransformerWeights, x,
 
     Each cell uses an RNG stream derived from (seed, ff index, attn index),
     so cells are independent. Every cell of every seed shares one digital
-    reference and one snap of the weights through `weight_lut`.
+    reference and one snap of the weights through `weight_lut`. The cells
+    run in worker processes on the usable cores where `_sweep_workers`
+    allows it, with the same results bit for bit.
     """
     seeds = list(seeds)
     ff_grid = list(ff_grid)
@@ -213,16 +220,139 @@ def noise_sweep(config: ModelConfig, weights: TransformerWeights, x,
             replace(layer, **{name: lut_snap(getattr(layer, name).T, weight_lut).T
                               for name, _, _ in WEIGHT_MATRICES})
             for layer in weights.layers])
-    surfaces = np.zeros((len(seeds), len(ff_grid), len(attn_grid)))
-    for s, cells_seed in enumerate(seeds):
-        for i, ff in enumerate(ff_grid):
-            for j, attn in enumerate(attn_grid):
-                noise = NoiseSpec(systematic_percent_ff=ff, systematic_percent_attn=attn,
-                                  photons_per_mac=photons, seed=derive_seed(cells_seed, i, j))
-                backend = OpticalBackend(noise, input_lut=input_lut, weight_lut=weight_lut,
-                                         weights_snapped=True)
-                surfaces[s, i, j] = deviation(forward(config, weights, x, backend).final, clean)
-    return surfaces
+    shape = (len(seeds), len(ff_grid), len(attn_grid))
+    cells = [(s, i, j) for s in range(shape[0]) for i in range(shape[1]) for j in range(shape[2])]
+
+    def cell(k: int) -> float:
+        s, i, j = cells[k]
+        noise = NoiseSpec(systematic_percent_ff=ff_grid[i], systematic_percent_attn=attn_grid[j],
+                          photons_per_mac=photons, seed=derive_seed(seeds[s], i, j))
+        backend = OpticalBackend(noise, input_lut=input_lut, weight_lut=weight_lut,
+                                 weights_snapped=True)
+        return deviation(forward(config, weights, x, backend).final, clean)
+
+    workers, blas = _sweep_workers(len(cells))
+    values = (_fork_cells(cell, _deal(config, ff_grid, attn_grid, len(seeds), workers), *blas)
+              if workers > 1 else [None] * len(cells))
+    # what no worker delivered, in order: all of a serial sweep, or the share
+    # of a worker that failed at a cell, which then raises here as it would
+    # in a serial sweep
+    return np.array([cell(k) if v is None else v for k, v in enumerate(values)]).reshape(shape)
+
+
+def _openblas_threads():
+    """The thread-count getter and setter of the OpenBLAS this process has
+    loaded (numpy's), or None where none is found."""
+    import ctypes
+    try:
+        with open("/proc/self/maps", encoding="utf-8", errors="replace") as fh:
+            paths = sorted({fields[5] for fields in (line.rstrip("\n").split(None, 5) for line in fh)
+                            if len(fields) == 6 and "openblas" in os.path.basename(fields[5])})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix, suffix in (("scipy_openblas", "64_"), ("scipy_openblas", ""),
+                               ("openblas", "64_"), ("openblas", "")):
+            try:
+                get, set_ = (getattr(lib, f"{prefix}_{verb}_num_threads{suffix}")
+                             for verb in ("get", "set"))
+            except AttributeError:
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None
+
+
+def _sweep_workers(cells: int):
+    """The processes for a sweep of `cells` cells, and the OpenBLAS thread
+    getter and setter. One process, this one, without os.fork or
+    os.sched_getaffinity, on one usable core, below 4 cells, without an
+    OpenBLAS thread setter, or with `forward` or `OpticalBackend.matmul`
+    replaced, as an instrumented run does, which must see every cell."""
+    if (not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")) or cells < 4
+            or (forward, OpticalBackend.matmul) != _UNINSTRUMENTED):
+        return 1, None
+    workers = min(len(os.sched_getaffinity(0)), cells)
+    blas = _openblas_threads() if workers > 1 else None
+    return (1, None) if blas is None else (workers, blas)
+
+
+def _deal(config: ModelConfig, ff_grid, attn_grid, seeds: int, shares: int) -> list[list[int]]:
+    """The cells of a sweep, numbered in [seed][ff][attn] order, dealt into
+    `shares` ascending lists of near-equal cost. A cell costs the outputs of
+    a forward pass, plus those of the products it adds systematic noise to;
+    each goes, the costliest first, to the share that costs least so far."""
+    outputs = {"ff": 0, "attn": 0}
+    for name, counts in compute_breakdown(config).products.items():
+        outputs[_KIND[name]] += counts.detects
+    costs = [sum(outputs.values()) + outputs["ff"] * (ff > 0) + outputs["attn"] * (attn > 0)
+             for _ in range(seeds) for ff in ff_grid for attn in attn_grid]
+    dealt, loads = [[] for _ in range(shares)], [0] * shares
+    for k in sorted(range(len(costs)), key=lambda k: -costs[k]):
+        least = loads.index(min(loads))
+        dealt[least].append(k)
+        loads[least] += costs[k]
+    return [sorted(share) for share in dealt]
+
+
+def _cell_values(cell, share: list[int]) -> list[float]:
+    """cell(k) for each k of `share` in order, up to the first that raises.
+    The caller computes the missing cells again, where that one raises."""
+    values = []
+    for k in share:
+        try:
+            values.append(cell(k))
+        except Exception:
+            break
+    return values
+
+
+def _fork_cells(cell, shares: list[list[int]], get_threads, set_threads) -> list[float | None]:
+    """cell(k) per cell k of `shares`, None where it was not computed. This
+    process computes the first share and one forked child each other share,
+    sending its values back over a pipe; OpenBLAS runs one thread meanwhile,
+    as each process has a core to itself. Every child is reaped, on every path."""
+    import signal
+    values = [None] * sum(map(len, shares))
+    children = []  # (pid, read end of its pipe, share)
+    threads = get_threads()
+    set_threads(1)
+    try:
+        for share in shares[1:]:
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: its cells are computed later, here
+                os.close(r)
+                os.close(w)
+                continue
+            if pid == 0:  # the child, which never returns into the caller's stack
+                try:
+                    os.close(r)
+                    with open(w, "wb") as fh:
+                        fh.write(np.array(_cell_values(cell, share), dtype=float).tobytes())
+                finally:
+                    os._exit(0)
+            os.close(w)
+            children.append((pid, open(r, "rb"), share))
+        for k, value in zip(shares[0], _cell_values(cell, shares[0])):
+            values[k] = value
+        for _, reader, share in children:
+            data = reader.read()  # up to the child's exit; a lost child's values stop short
+            for k, value in zip(share, np.frombuffer(data[:len(data) // 8 * 8]).tolist()):
+                values[k] = value
+    finally:
+        for pid, reader, _ in children:
+            reader.close()
+            os.kill(pid, signal.SIGKILL)  # a no-op on a child that has exited
+            os.waitpid(pid, 0)
+        set_threads(threads)
+    return values
 
 
 def trace_to_json_dict(trace: ForwardTrace, config: ModelConfig, seed: int) -> dict:

@@ -23,6 +23,7 @@ from photonsim import (ChunkingScenario, DIGITAL_BASELINES, HardwareProfile, Mod
                        find_model, future_profile, init_weights, lut_synthesize,
                        save_catalogue, save_lut, total_energy)
 import photonsim.cli
+import photonsim.txsim
 from photonsim.cli import build_parser, main, write_json
 
 TINY = {"name": "tiny", "n": 8, "d": 16, "h": 2, "L": 2}
@@ -527,8 +528,13 @@ def test_heads_that_do_not_divide_d_are_parse_errors(tmp_path, capsys, monkeypat
     *([command, "--config", "CONFIG", "--out", "FILE/sub"]
       for command in ("requirements", "chunking", "simulate", "sweep")),
 ], ids=["out_is_file", "out_under_file", "requirements", "chunking", "simulate", "sweep"])
-def test_unwritable_output_is_io_error(tmp_path, capsys, argv):
-    # stdout shows only results whose files were written
+def test_unwritable_output_is_io_error(tmp_path, capsys, monkeypatch, argv):
+    # stdout shows only results whose files were written; and a forward pass
+    # whose results cannot be written does not run
+    def forward(*args, **kwargs):
+        raise AssertionError("a forward pass ran before --out was checked")
+    for module in (photonsim.cli, photonsim.txsim):
+        monkeypatch.setattr(module, "forward", forward)
     taken = tmp_path / "taken"
     taken.write_text("")
     config = write_tiny_config(tmp_path)
@@ -554,6 +560,37 @@ def test_float64_overflow_is_over_limit(tmp_path, capsys, argv):
     assert err.startswith("error:over_limit: the forward pass left the float64 range")
     assert err.count("\n") == 1
     assert not out.exists()  # no trace, data file or manifest
+
+
+@pytest.mark.parametrize("failing_share", [0, 1], ids=["parent", "child"])
+def test_parallel_sweep_overflow_is_one_error(tmp_path, capsys, monkeypatch, failing_share):
+    # the cells run in this process and a forked child; the 1e150 cell fails in one of them
+    ff_grid = ["0", "1", "2", "1e150"] if failing_share == 0 else ["0", "1", "1e150", "2"]
+    shares = photonsim.txsim._deal(ModelConfig(**TINY), [float(v) for v in ff_grid], [0.0], 1, 2)
+    assert ff_grid.index("1e150") in shares[failing_share]
+    blas = photonsim.txsim._openblas_threads()
+    threads = blas[0]() if blas else None
+    fork, forks = os.fork, []
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    argv = ["sweep", "--config", write_tiny_config(tmp_path), "--ff-grid", ",".join(ff_grid),
+            "--attn-grid", "0"]
+    errors = []
+    for cores in (2, 1):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+        out = tmp_path / f"o{cores}"
+        assert main(argv + ["--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:over_limit: the forward pass left the float64 range")
+        assert captured.err.count("\n") == 1
+        assert not out.exists()
+        errors.append(captured.err)
+    assert len(forks) == (1 if blas else 0)
+    assert errors[0] == errors[1]  # the error of the serial sweep
+    with pytest.raises(ChildProcessError):  # no child left behind
+        os.waitpid(-1, os.WNOHANG)
+    if blas:
+        assert blas[0]() == threads
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,6 +1,7 @@
 """Hybrid forward pass: weights, trace, backends, noise sweeps."""
 import json
 import math
+import os
 import pathlib
 from dataclasses import replace
 
@@ -13,6 +14,7 @@ from photonsim import (DigitalBackend, ModelConfig, NoiseSpec, OpticalBackend,
                        init_weights, load_trace, lut_synthesize, make_input, noise_sweep,
                        save_trace, trace_to_json_dict)
 from photonsim.arch import PRODUCT_CLASSES, WEIGHT_MATRICES
+import photonsim.txsim
 from photonsim.txsim import _layernorm, _relu6, _softmax
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -343,6 +345,128 @@ def test_lut_sweep_equals_fresh_passes(photons, with_input_lut):
         single, = noise_sweep(cfg, wts, x, ff_grid, attn_grid, photons=photons, seeds=[seed],
                               input_lut=input_lut, weight_lut=weight_lut)
         assert np.array_equal(single, surfaces[s])
+
+
+def _sweep_on(monkeypatch, cores, *args, **kwargs):
+    """noise_sweep as run with `cores` usable cores, and the os.fork calls it made."""
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        forks.append(1)  # before the fork: only this process's list counts it
+        return fork()
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+    monkeypatch.setattr(os, "fork", counted_fork)
+    try:
+        return noise_sweep(*args, **kwargs), len(forks)
+    finally:
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("photons", [math.inf, 1000.0, 3.0], ids=["inf", "gaussian", "poisson"])
+@pytest.mark.parametrize("with_input_lut", [False, True])
+@pytest.mark.parametrize("seeds", [[7], [7, 8, 9]], ids=["1seed", "3seeds"])
+@pytest.mark.parametrize("ff_grid, attn_grid", [([0.0, 1.0], [0.0, 2.0]),
+                                                ([0.0, 1.0, 5.0], [0.0, 2.0]),
+                                                ([0.0, 1.0, 2.0, 5.0], [0.0, 1.0, 2.0, 5.0])],
+                         ids=["2x2", "3x2", "4x4"])
+def test_parallel_sweep_is_bit_identical(monkeypatch, photons, with_input_lut, seeds,
+                                         ff_grid, attn_grid):
+    cfg = ModelConfig("t", n=8, d=16, h=2, L=2)
+    wts = init_weights(cfg, 3)
+    x = make_input(cfg, 3)
+    kwargs = dict(photons=photons, seeds=seeds, weight_lut=lut_synthesize(16, 32, floor=0.01),
+                  input_lut=lut_synthesize(8, 16) if with_input_lut else None)
+    serial, serial_forks = _sweep_on(monkeypatch, 1, cfg, wts, x, ff_grid, attn_grid, **kwargs)
+    parallel, forks = _sweep_on(monkeypatch, 2, cfg, wts, x, ff_grid, attn_grid, **kwargs)
+    assert serial_forks == 0
+    # one child beside this process, where numpy's OpenBLAS can be held to one thread
+    assert forks == (1 if photonsim.txsim._openblas_threads() else 0)
+    assert parallel.tobytes() == serial.tobytes()
+
+
+def test_sweep_below_four_cells_never_forks(monkeypatch):
+    wts = init_weights(TINY, 1)
+    x = make_input(TINY, 1)
+    surfaces, forks = _sweep_on(monkeypatch, 2, TINY, wts, x, [0.0, 1.0, 2.0], [1.0], seeds=[5])
+    assert forks == 0
+    assert surfaces.shape == (1, 3, 1)
+
+
+def test_sweep_cells_are_dealt_by_their_noise():
+    # a noise-free cell costs a forward pass; noise on either product kind
+    # adds that kind's outputs, which at n=d=16, h=2 are 9*16*16 and 2*16*16+16*16
+    cfg = ModelConfig("t", n=16, d=16, h=2, L=1)
+    shares = photonsim.txsim._deal(cfg, [0.0, 1.0], [0.0, 1.0, 2.0], 2, 2)
+    assert sorted(k for share in shares for k in share) == list(range(12))
+    assert all(share == sorted(share) for share in shares)
+    costs = [3072, 3840, 3840, 5376, 6144, 6144] * 2
+    loads = [sum(costs[k] for k in share) for share in shares]
+    assert loads[0] == loads[1]  # the strided split, cells[k::2], gives 26112 and 30720
+
+
+@pytest.mark.parametrize("replaced", ["forward", "matmul"])
+def test_instrumented_sweep_stays_in_one_process(monkeypatch, replaced):
+    # an instrumented run must see the forward pass of every cell
+    cfg = ModelConfig("t", n=8, d=16, h=2, L=1)
+    wts = init_weights(cfg, 3)
+    x = make_input(cfg, 3)
+    grid = [0.0, 1.0, 2.0, 5.0]
+    reference, _ = _sweep_on(monkeypatch, 1, cfg, wts, x, grid, grid, seeds=[4])
+    passes = []
+    if replaced == "forward":
+        original = photonsim.txsim.forward
+
+        def counted(*args, **kwargs):
+            passes.append(isinstance(args[3], OpticalBackend))
+            return original(*args, **kwargs)
+        monkeypatch.setattr(photonsim.txsim, "forward", counted)
+    else:
+        original = OpticalBackend.matmul
+
+        def counted(self, a, b, product, op):
+            passes.append(op == 0)  # the first product of a pass
+            return original(self, a, b, product, op)
+        monkeypatch.setattr(OpticalBackend, "matmul", counted)
+    forks = []
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or pytest.fail("forked"))
+    surfaces = noise_sweep(cfg, wts, x, grid, grid, seeds=[4])
+    monkeypatch.undo()
+    assert not forks
+    if replaced == "forward":
+        assert passes == [False] + [True] * 16  # the digital reference, then every cell
+    else:
+        assert sum(passes) == 16
+    assert surfaces.tobytes() == reference.tobytes()
+
+
+@pytest.mark.parametrize("lost", ["fork_fails", "child_dies"])
+def test_sweep_share_no_child_delivers_is_computed_here(monkeypatch, lost):
+    cfg = ModelConfig("t", n=8, d=16, h=2, L=1)
+    wts = init_weights(cfg, 3)
+    x = make_input(cfg, 3)
+    grid = [0.0, 1.0, 2.0, 5.0]
+    reference, _ = _sweep_on(monkeypatch, 1, cfg, wts, x, grid, grid, seeds=[4, 5])
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    if lost == "fork_fails":
+        def no_fork():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        monkeypatch.setattr(os, "fork", no_fork)
+    else:
+        parent, original = os.getpid(), photonsim.txsim.deviation
+
+        def dying(*args):
+            if os.getpid() != parent:  # a child ends in its first cell, sending nothing
+                os._exit(1)
+            return original(*args)
+        monkeypatch.setattr(photonsim.txsim, "deviation", dying)
+    surfaces = noise_sweep(cfg, wts, x, grid, grid, seeds=[4, 5])
+    monkeypatch.undo()
+    assert surfaces.tobytes() == reference.tobytes()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_noise_sweep_ff_trend_monotone():
