@@ -201,9 +201,13 @@ def noise_sweep(config: ModelConfig, weights: TransformerWeights, x,
 
     Each cell uses an RNG stream derived from (seed, ff index, attn index),
     so cells are independent. Every cell of every seed shares one digital
-    reference and one snap of the weights through `weight_lut`. The cells
-    run in worker processes on the usable cores where `_sweep_workers`
-    allows it, with the same results bit for bit.
+    reference and one snap of the weights through `weight_lut`. Where
+    `_sweep_workers` allows it, the cells run in processes forked from this
+    one, on the usable cores, with the same results bit for bit. An
+    instrumented sweep must replace `forward` or `OpticalBackend.matmul`,
+    which keeps every cell in this process: what is patched below them
+    (`deviation`, `optical_matmul`, the optics functions) does not see the
+    cells of forked workers.
     """
     seeds = list(seeds)
     ff_grid = list(ff_grid)
@@ -231,67 +235,87 @@ def noise_sweep(config: ModelConfig, weights: TransformerWeights, x,
                                  weights_snapped=True)
         return deviation(forward(config, weights, x, backend).final, clean)
 
-    workers, blas = _sweep_workers(len(cells))
-    values = (_fork_cells(cell, _deal(config, ff_grid, attn_grid, len(seeds), workers), *blas)
-              if workers > 1 else [None] * len(cells))
-    # what no worker delivered, in order: all of a serial sweep, or the share
-    # of a worker that failed at a cell, which then raises here as it would
-    # in a serial sweep
+    costs = _cell_costs(config, ff_grid, attn_grid, len(seeds))
+    workers, blas = _sweep_workers(config, costs)
+    values = _fork_cells(cell, _deal(costs, workers), *blas) if workers > 1 else [None] * len(cells)
+    # what no worker delivered, in order: all of a serial sweep; or the rest
+    # of a child's share, from where the child was lost or from a cell that
+    # failed there, which then raises here as it would in a serial sweep
     return np.array([cell(k) if v is None else v for k, v in enumerate(values)]).reshape(shape)
 
 
-def _openblas_threads():
-    """The thread-count getter and setter of the OpenBLAS this process has
-    loaded (numpy's), or None where none is found."""
-    import ctypes
-    try:
-        with open("/proc/self/maps", encoding="utf-8", errors="replace") as fh:
-            paths = sorted({fields[5] for fields in (line.rstrip("\n").split(None, 5) for line in fh)
-                            if len(fields) == 6 and "openblas" in os.path.basename(fields[5])})
-    except OSError:
-        return None
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for prefix, suffix in (("scipy_openblas", "64_"), ("scipy_openblas", ""),
-                               ("openblas", "64_"), ("openblas", "")):
-            try:
-                get, set_ = (getattr(lib, f"{prefix}_{verb}_num_threads{suffix}")
-                             for verb in ("get", "set"))
-            except AttributeError:
-                continue
-            get.argtypes, get.restype = [], ctypes.c_int
-            set_.argtypes, set_.restype = [ctypes.c_int], None
-            return get, set_
-    return None
+# Measured on a 2-core x86-64 KVM guest (BENCH_14.json). A forked worker
+# costs the sweep 6-14 ms: the fork, and the copy-on-write faults that
+# follow it in both processes. That is what about 0.75M outputs of a forward
+# pass take to compute. A worker's pass made 9-25 bytes of memory its own
+# per output of one layer (n = 128-1024, d = 128-768); 48 allows twice that.
+_SHARE_OUTPUTS = 750_000
+_WORKER_BYTES_PER_OUTPUT = 48
 
 
-def _sweep_workers(cells: int):
-    """The processes for a sweep of `cells` cells, and the OpenBLAS thread
-    getter and setter. One process, this one, without os.fork or
-    os.sched_getaffinity, on one usable core, below 4 cells, without an
-    OpenBLAS thread setter, or with `forward` or `OpticalBackend.matmul`
-    replaced, as an instrumented run does, which must see every cell."""
-    if (not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")) or cells < 4
+def _cell_costs(config: ModelConfig, ff_grid, attn_grid, seeds: int) -> list[int]:
+    """The cost of each cell of a sweep, numbered in [seed][ff][attn] order:
+    the outputs of its forward pass, plus those of the products it adds
+    systematic noise to."""
+    outputs = {"ff": 0, "attn": 0}
+    for name, counts in compute_breakdown(config).products.items():
+        outputs[_KIND[name]] += config.L * counts.detects
+    return [outputs["ff"] * (1 + (ff > 0)) + outputs["attn"] * (1 + (attn > 0))
+            for _ in range(seeds) for ff in ff_grid for attn in attn_grid]
+
+
+def _sweep_workers(config: ModelConfig, costs: list[int]):
+    """The processes for a sweep whose cells cost `costs`, and the OpenBLAS
+    thread getter and setter: no more than the usable cores, the cells, the
+    shares of _SHARE_OUTPUTS outputs, or this process and the workers that
+    free memory holds at _WORKER_BYTES_PER_OUTPUT per output of one layer.
+    One process, this one, also without os.fork, os.sched_getaffinity, the
+    free-memory count or an OpenBLAS thread setter; where another Python
+    thread runs, which a fork could leave holding a lock in the child; or
+    with `forward` or `OpticalBackend.matmul` replaced, as an instrumented
+    run does, which must see every cell."""
+    import threading
+    if (not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+             and "SC_AVPHYS_PAGES" in os.sysconf_names)
+            or threading.active_count() > 1
             or (forward, OpticalBackend.matmul) != _UNINSTRUMENTED):
         return 1, None
-    workers = min(len(os.sched_getaffinity(0)), cells)
+    layer_outputs = sum(counts.detects for counts in compute_breakdown(config).products.values())
+    free = os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    workers = min(len(os.sched_getaffinity(0)), len(costs), sum(costs) // _SHARE_OUTPUTS,
+                  1 + free // (_WORKER_BYTES_PER_OUTPUT * layer_outputs))
     blas = _openblas_threads() if workers > 1 else None
     return (1, None) if blas is None else (workers, blas)
 
 
-def _deal(config: ModelConfig, ff_grid, attn_grid, seeds: int, shares: int) -> list[list[int]]:
-    """The cells of a sweep, numbered in [seed][ff][attn] order, dealt into
-    `shares` ascending lists of near-equal cost. A cell costs the outputs of
-    a forward pass, plus those of the products it adds systematic noise to;
-    each goes, the costliest first, to the share that costs least so far."""
-    outputs = {"ff": 0, "attn": 0}
-    for name, counts in compute_breakdown(config).products.items():
-        outputs[_KIND[name]] += counts.detects
-    costs = [sum(outputs.values()) + outputs["ff"] * (ff > 0) + outputs["attn"] * (attn > 0)
-             for _ in range(seeds) for ff in ff_grid for attn in attn_grid]
+def _openblas_threads():
+    """The thread-count getter and setter of numpy's OpenBLAS, looked up
+    through numpy's own extension module, which links it: the
+    scipy_openblas names of numpy 2's wheels, or the openblas names of
+    numpy 1's. None where neither is found."""
+    import ctypes
+    import sys
+    umath = (sys.modules.get("numpy._core._multiarray_umath")
+             or sys.modules.get("numpy.core._multiarray_umath"))
+    try:
+        lib = ctypes.CDLL(umath.__file__)
+    except (AttributeError, OSError):
+        return None
+    for prefix in ("scipy_openblas", "openblas"):
+        try:
+            get, set_ = (getattr(lib, f"{prefix}_{verb}_num_threads64_") for verb in ("get", "set"))
+        except AttributeError:
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+def _deal(costs: list[int], shares: int) -> list[list[int]]:
+    """The indices of `costs` dealt into `shares` ascending lists of
+    near-equal cost: each, the costliest first, to the share that costs
+    least so far."""
     dealt, loads = [[] for _ in range(shares)], [0] * shares
     for k in sorted(range(len(costs)), key=lambda k: -costs[k]):
         least = loads.index(min(loads))
@@ -300,22 +324,11 @@ def _deal(config: ModelConfig, ff_grid, attn_grid, seeds: int, shares: int) -> l
     return [sorted(share) for share in dealt]
 
 
-def _cell_values(cell, share: list[int]) -> list[float]:
-    """cell(k) for each k of `share` in order, up to the first that raises.
-    The caller computes the missing cells again, where that one raises."""
-    values = []
-    for k in share:
-        try:
-            values.append(cell(k))
-        except Exception:
-            break
-    return values
-
-
 def _fork_cells(cell, shares: list[list[int]], get_threads, set_threads) -> list[float | None]:
-    """cell(k) per cell k of `shares`, None where it was not computed. This
-    process computes the first share and one forked child each other share,
-    sending its values back over a pipe; OpenBLAS runs one thread meanwhile,
+    """cell(k) per cell k of `shares`, None where a child did not deliver it.
+    This process computes the first share, raising where a cell raises; one
+    forked child each other share, sending its values over a pipe as it goes
+    and stopping at a cell that raises. OpenBLAS runs one thread meanwhile,
     as each process has a core to itself. Every child is reaped, on every path."""
     import signal
     values = [None] * sum(map(len, shares))
@@ -335,13 +348,14 @@ def _fork_cells(cell, shares: list[list[int]], get_threads, set_threads) -> list
                 try:
                     os.close(r)
                     with open(w, "wb") as fh:
-                        fh.write(np.array(_cell_values(cell, share), dtype=float).tobytes())
+                        for k in share:
+                            fh.write(np.float64(cell(k)).tobytes())
                 finally:
                     os._exit(0)
             os.close(w)
             children.append((pid, open(r, "rb"), share))
-        for k, value in zip(shares[0], _cell_values(cell, shares[0])):
-            values[k] = value
+        for k in shares[0]:
+            values[k] = cell(k)
         for _, reader, share in children:
             data = reader.read()  # up to the child's exit; a lost child's values stop short
             for k, value in zip(share, np.frombuffer(data[:len(data) // 8 * 8]).tolist()):

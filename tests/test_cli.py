@@ -563,15 +563,20 @@ def test_float64_overflow_is_over_limit(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize("failing_share", [0, 1], ids=["parent", "child"])
-def test_parallel_sweep_overflow_is_one_error(tmp_path, capsys, monkeypatch, failing_share):
+def test_parallel_sweep_overflow_is_one_error(tmp_path, capsys, monkeypatch, request,
+                                             failing_share):
     # the cells run in this process and a forked child; the 1e150 cell fails in one of them
     ff_grid = ["0", "1", "2", "1e150"] if failing_share == 0 else ["0", "1", "1e150", "2"]
-    shares = photonsim.txsim._deal(ModelConfig(**TINY), [float(v) for v in ff_grid], [0.0], 1, 2)
-    assert ff_grid.index("1e150") in shares[failing_share]
+    costs = photonsim.txsim._cell_costs(ModelConfig(**TINY), [float(v) for v in ff_grid], [0.0], 1)
+    assert ff_grid.index("1e150") in photonsim.txsim._deal(costs, 2)[failing_share]
     blas = photonsim.txsim._openblas_threads()
-    threads = blas[0]() if blas else None
+    if blas:  # a count other than the workers' one, which the sweep must restore
+        request.addfinalizer(lambda threads=blas[0](): blas[1](threads))
+        blas[1](3)
     fork, forks = os.fork, []
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    # a sweep this small is not worth a worker, which is a matter of speed only
+    monkeypatch.setattr(photonsim.txsim, "_SHARE_OUTPUTS", 1)
     argv = ["sweep", "--config", write_tiny_config(tmp_path), "--ff-grid", ",".join(ff_grid),
             "--attn-grid", "0"]
     errors = []
@@ -590,7 +595,7 @@ def test_parallel_sweep_overflow_is_one_error(tmp_path, capsys, monkeypatch, fai
     with pytest.raises(ChildProcessError):  # no child left behind
         os.waitpid(-1, os.WNOHANG)
     if blas:
-        assert blas[0]() == threads
+        assert blas[0]() == 3
 
 
 @pytest.mark.parametrize("argv", [

@@ -348,7 +348,8 @@ def test_lut_sweep_equals_fresh_passes(photons, with_input_lut):
 
 
 def _sweep_on(monkeypatch, cores, *args, **kwargs):
-    """noise_sweep as run with `cores` usable cores, and the os.fork calls it made."""
+    """noise_sweep as run with `cores` usable cores and every cell worth a
+    worker, and the os.fork calls it made."""
     forks = []
     fork = os.fork
 
@@ -358,6 +359,9 @@ def _sweep_on(monkeypatch, cores, *args, **kwargs):
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
     monkeypatch.setattr(os, "fork", counted_fork)
+    # the share a worker must be worth is a matter of speed, not of results:
+    # these sweeps are far too small to be worth one
+    monkeypatch.setattr(photonsim.txsim, "_SHARE_OUTPUTS", 1)
     try:
         return noise_sweep(*args, **kwargs), len(forks)
     finally:
@@ -386,22 +390,97 @@ def test_parallel_sweep_is_bit_identical(monkeypatch, photons, with_input_lut, s
     assert parallel.tobytes() == serial.tobytes()
 
 
-def test_sweep_below_four_cells_never_forks(monkeypatch):
-    wts = init_weights(TINY, 1)
-    x = make_input(TINY, 1)
-    surfaces, forks = _sweep_on(monkeypatch, 2, TINY, wts, x, [0.0, 1.0, 2.0], [1.0], seeds=[5])
+def test_sweep_cells_run_with_openblas_at_one_thread(monkeypatch, request):
+    # each process has a core to itself; the caller's count comes back after
+    blas = photonsim.txsim._openblas_threads()
+    if blas is None:
+        pytest.skip("numpy's BLAS is not an OpenBLAS with a thread-count setter")
+    request.addfinalizer(lambda threads=blas[0](): blas[1](threads))
+    blas[1](3)
+    for cores, threads in ((2, 1), (1, 3)):
+        # each cell's value: the thread count of the process that computed it
+        monkeypatch.setattr(photonsim.txsim, "deviation", lambda noisy, clean: float(blas[0]()))
+        surfaces, forks = _sweep_on(monkeypatch, cores, TINY, init_weights(TINY, 1),
+                                    make_input(TINY, 1), [0.0, 1.0], [0.0, 1.0], seeds=[5])
+        assert forks == (cores - 1)
+        assert surfaces.tolist() == [[[threads] * 2] * 2]
+    assert blas[0]() == 3
+
+
+@pytest.mark.parametrize("ff_grid, forks", [([0.0, 1.0, 2.0], 0), ([0.0, 1.0, 2.0, 5.0], 1)],
+                         ids=["3_cells_serial", "4_cells_forked"])
+def test_sweep_forks_only_where_its_cells_pay_for_a_worker(monkeypatch, ff_grid, forks):
+    # at n=d=128, h=8 a pass computes 294,912 outputs and ff noise adds
+    # 147,456: 3 cells cost 1.18M outputs, short of the two shares of 0.75M
+    # that two workers need, and ran faster in one process (28 ms against
+    # 30 ms on 2 cores); 4 cells cost 1.62M and ran faster in two (34 ms
+    # against 39 ms)
+    cfg = ModelConfig("t", n=128, d=128, h=8, L=1)
+    costs = photonsim.txsim._cell_costs(cfg, ff_grid, [0.0], 1)
+    assert sum(costs) == 294_912 * len(ff_grid) + 147_456 * (len(ff_grid) - 1)
+    wts = init_weights(cfg, 2)
+    x = make_input(cfg, 2)
+    fork, made = os.fork, []
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "fork", lambda: made.append(1) or fork())
+    surfaces = noise_sweep(cfg, wts, x, ff_grid, [0.0], seeds=[5])
+    monkeypatch.undo()
+    reference = noise_sweep(cfg, wts, x, ff_grid, [0.0], seeds=[5])
+    assert len(made) == (forks if photonsim.txsim._openblas_threads() else 0)
+    assert surfaces.tobytes() == reference.tobytes()
+
+
+def test_sweep_workers_are_bounded_by_cores_cells_cost_and_free_memory(monkeypatch):
+    cfg = ModelConfig("t", n=16, d=16, h=2, L=1)
+    worker_bytes = 48 * (9 * 16 * 16 + 3 * 16 * 16)  # per output of one layer
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+    page = os.sysconf("SC_PAGE_SIZE")
+    free_pages = [10 ** 6]
+    monkeypatch.setattr(os, "sysconf", lambda name: free_pages[0] if name == "SC_AVPHYS_PAGES"
+                        else page)
+    share = photonsim.txsim._SHARE_OUTPUTS
+
+    def workers(costs):
+        return photonsim.txsim._sweep_workers(cfg, costs)[0]
+    if photonsim.txsim._openblas_threads() is None:
+        assert workers([share] * 16) == 1
+        return
+    assert workers([share] * 16) == 8    # the usable cores
+    assert workers([share * 9] * 3) == 3  # the cells
+    assert workers([share] * 5 + [share - 1]) == 5  # the shares worth a worker
+    assert workers([share - 1] * 2) == 1
+    free_pages[0] = (3 * worker_bytes + worker_bytes - 1) // page
+    assert workers([share] * 16) == 4    # this process and the workers free memory holds
+    free_pages[0] = 0
+    assert workers([share] * 16) == 1
+
+
+def test_sweep_beside_another_thread_stays_in_one_process(monkeypatch):
+    # a fork could leave the other thread's locks held in the child
+    import threading
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        surfaces, forks = _sweep_on(monkeypatch, 2, TINY, init_weights(TINY, 1),
+                                    make_input(TINY, 1), [0.0, 1.0], [0.0, 1.0], seeds=[5])
+    finally:
+        release.set()
+        other.join()
     assert forks == 0
-    assert surfaces.shape == (1, 3, 1)
+    assert surfaces.shape == (1, 2, 2)
 
 
 def test_sweep_cells_are_dealt_by_their_noise():
     # a noise-free cell costs a forward pass; noise on either product kind
     # adds that kind's outputs, which at n=d=16, h=2 are 9*16*16 and 2*16*16+16*16
     cfg = ModelConfig("t", n=16, d=16, h=2, L=1)
-    shares = photonsim.txsim._deal(cfg, [0.0, 1.0], [0.0, 1.0, 2.0], 2, 2)
+    costs = photonsim.txsim._cell_costs(cfg, [0.0, 1.0], [0.0, 1.0, 2.0], 2)
+    assert costs == [3072, 3840, 3840, 5376, 6144, 6144] * 2
+    assert photonsim.txsim._cell_costs(replace(cfg, L=3), [1.0], [1.0], 1) == [3 * 6144]
+    shares = photonsim.txsim._deal(costs, 2)
     assert sorted(k for share in shares for k in share) == list(range(12))
     assert all(share == sorted(share) for share in shares)
-    costs = [3072, 3840, 3840, 5376, 6144, 6144] * 2
     loads = [sum(costs[k] for k in share) for share in shares]
     assert loads[0] == loads[1]  # the strided split, cells[k::2], gives 26112 and 30720
 
@@ -431,6 +510,7 @@ def test_instrumented_sweep_stays_in_one_process(monkeypatch, replaced):
         monkeypatch.setattr(OpticalBackend, "matmul", counted)
     forks = []
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(photonsim.txsim, "_SHARE_OUTPUTS", 1)  # as in _sweep_on, which forks
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or pytest.fail("forked"))
     surfaces = noise_sweep(cfg, wts, x, grid, grid, seeds=[4])
     monkeypatch.undo()
@@ -450,6 +530,7 @@ def test_sweep_share_no_child_delivers_is_computed_here(monkeypatch, lost):
     grid = [0.0, 1.0, 2.0, 5.0]
     reference, _ = _sweep_on(monkeypatch, 1, cfg, wts, x, grid, grid, seeds=[4, 5])
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    monkeypatch.setattr(photonsim.txsim, "_SHARE_OUTPUTS", 1)
     if lost == "fork_fails":
         def no_fork():
             raise BlockingIOError(11, "Resource temporarily unavailable")
