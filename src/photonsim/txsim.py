@@ -247,8 +247,8 @@ def noise_sweep(config: ModelConfig, weights: TransformerWeights, x,
 # Measured on a 2-core x86-64 KVM guest (BENCH_14.json). A forked worker
 # costs the sweep 6-14 ms: the fork, and the copy-on-write faults that
 # follow it in both processes. That is what about 0.75M outputs of a forward
-# pass take to compute. A worker's pass made 9-25 bytes of memory its own
-# per output of one layer (n = 128-1024, d = 128-768); 48 allows twice that.
+# pass take to compute. A forward pass took 4-25 bytes of memory per
+# output of one layer (n = 128-1024, d = 128-768); 48 allows twice that.
 _SHARE_OUTPUTS = 750_000
 _WORKER_BYTES_PER_OUTPUT = 48
 
