@@ -126,7 +126,7 @@ class ComputeBreakdown:
     def macs_per_layer(self) -> int:
         return sum(p.macs for p in self.products.values())
 
-    @property
+    @cached_property  # cost models ask for it once per report and per scenario
     def total_macs(self) -> int:
         return self.layers * self.macs_per_layer
 

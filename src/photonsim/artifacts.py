@@ -21,6 +21,7 @@ def fmt(x: float) -> str:
 
 
 _INDENT = "  "
+_MIN_NORMAL = sys.float_info.min
 
 
 class _Pieces(list):
@@ -49,10 +50,17 @@ def _block(items: list, depth: int, brackets: str):
 
 
 def _float_text(x: float) -> str:
-    """x at 9 significant digits as JSON; nan and inf as strings."""
-    if not math.isfinite(x):
-        return encode_basestring_ascii(str(x))  # JSON has no literal for nan and inf
-    return repr(float(fmt(x)))
+    """x at 9 significant digits as JSON, repr(float(fmt(x))); nan and inf as
+    strings. A 9-digit text is the shortest one of a normal float, so where
+    repr and "%.9g" choose the same notation the text is already repr's."""
+    text = f"{x:.9g}"  # fmt, inlined
+    if "e" in text:  # repr writes e-notation only below 1e-4 and from 1e16
+        return text if "e-" in text and abs(x) >= _MIN_NORMAL else repr(float(text))
+    if "." in text:
+        return text
+    if math.isfinite(x):
+        return text + ".0"  # an integer, which repr writes with a point
+    return encode_basestring_ascii(text)  # JSON has no literal for nan and inf
 
 
 # "%.9g" of a normal float64 v is the integer n = rint(|v| * 10^k) in
@@ -110,7 +118,7 @@ def _rows_text(block: np.ndarray, cells: np.ndarray, head: str, tail: str) -> st
     v = block.ravel()
     m = np.abs(v)
     with np.errstate(all="ignore"):  # the fallback's inf, nan and 0 go through too
-        plain = m >= sys.float_info.min
+        plain = m >= _MIN_NORMAL
         plain &= np.abs(m - np.rint(m)) > 1e-8 * m  # every |v| >= 5e7 fails
         fast = plain.copy()
         k = np.log10(m)
@@ -203,35 +211,44 @@ def _encode(obj, depth: int, seen: dict):
     written as its tolist(). One string, or _Pieces where `obj` holds an
     array's rows. `seen` records the document's formatted arrays
     (_array_text)."""
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, float):
+    kind = type(obj)  # the exact built-in types first: they are nearly every value
+    if kind is float:
         return _float_text(obj)
-    if isinstance(obj, (list, tuple)):
+    if kind is str:
+        return encode_basestring_ascii(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    if kind is not dict and kind is not list:
+        # bool, None, tuples, subclasses such as np.float64 or IntEnum, and ndarrays
+        if isinstance(obj, str):
+            return encode_basestring_ascii(obj)
+        if obj is None:
+            return "null"
+        if obj is True:
+            return "true"
+        if obj is False:
+            return "false"
+        if isinstance(obj, int):
+            return int.__repr__(obj)
+        if isinstance(obj, float):
+            return _float_text(obj)
+        np = sys.modules.get("numpy")  # no ndarray exists before numpy is imported
+        if np is not None and isinstance(obj, np.ndarray):
+            return _array_text(obj, depth, seen)
+        if not isinstance(obj, (list, tuple, dict)):
+            raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    if not isinstance(obj, dict):
         if not obj:
             return "[]"
         return _block([_encode(v, depth + 1, seen) for v in obj], depth, "[]")
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = []
-        for key, value in obj.items():
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            items.append(encode_basestring_ascii(key) + ": " + _encode(value, depth + 1, seen))
-        return _block(items, depth, "{}")
-    np = sys.modules.get("numpy")  # no ndarray exists before numpy is imported
-    if np is not None and isinstance(obj, np.ndarray):
-        return _array_text(obj, depth, seen)
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    if not obj:
+        return "{}"
+    items = []
+    for key, value in obj.items():
+        if not isinstance(key, str):
+            raise TypeError(f"keys must be str, not {type(key).__name__}")
+        items.append(encode_basestring_ascii(key) + ": " + _encode(value, depth + 1, seen))
+    return _block(items, depth, "{}")
 
 
 def _atomic_write(path: str, pieces: list[str]) -> None:
@@ -258,15 +275,27 @@ def write_csv(path: str, header: list[str], rows) -> None:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([fmt(v) if isinstance(v, float) else v for v in row])
+    # fmt, inlined, for each float: an exact float first, then a subclass such as np.float64
+    writer.writerows([f"{v:.9g}" if type(v) is float or isinstance(v, float) else v for v in row]
+                     for row in rows)
     _atomic_write(path, [buf.getvalue()])
 
 
 def _non_finite(obj) -> bool:
     """Whether a JSON document holds a NaN or an infinity."""
-    if isinstance(obj, float):
+    kind = type(obj)  # the exact built-in types first
+    if kind is float:
         return not math.isfinite(obj)
-    if isinstance(obj, dict):
-        return any(map(_non_finite, obj.values()))
-    return isinstance(obj, (list, tuple)) and any(map(_non_finite, obj))
+    if kind is str or kind is int:
+        return False
+    if kind is dict:
+        obj = obj.values()
+    elif kind is not list:  # today's chain: subclasses such as np.float64, tuples
+        if isinstance(obj, float):
+            return not math.isfinite(obj)
+        if isinstance(obj, dict):
+            obj = obj.values()
+        elif not isinstance(obj, (list, tuple)):
+            return False
+    # a float item is tested here, without a call
+    return any([not math.isfinite(v) if type(v) is float else _non_finite(v) for v in obj])

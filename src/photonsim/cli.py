@@ -97,10 +97,7 @@ def _emit(args, command: str, resolved: dict, files: dict, always=None) -> None:
     files = {**(always or {}), **{name: payload for name, payload in files.items()
                                   if args.format in (name.rsplit(".", 1)[1], "both")}}
     for name, payload in files.items():
-        # a CSV payload's rows are flat: one comprehension, not a call per cell
-        numbers = ([v for row in payload[1] for v in row if isinstance(v, float)]
-                   if name.endswith(".csv") else payload)
-        if _non_finite(numbers):
+        if _non_finite(payload):  # a CSV payload's (header, rows) too
             raise CliError("over_limit", f"a result left the float64 range: {name}")
     os.makedirs(args.out or ".", exist_ok=True)
     outputs = []
@@ -275,17 +272,17 @@ def cmd_chunking(args) -> list[str]:
                      "dram_j_per_bit": args.dram_j_per_bit})
 
     a100 = DIGITAL_BASELINES["a100"]
+    scenarios = [ChunkingScenario(memory_capacity_weights=memory, batch_size=batch)
+                 for memory in args.memory for batch in args.batch]
     rows = []
     for model in models:
         macs = compute_breakdown(model).total_macs
-        for memory in args.memory:
-            for batch in args.batch:
-                scenario = ChunkingScenario(memory_capacity_weights=memory, batch_size=batch)
-                onn = chunked_onn_energy(model, profile, policy, scenario=scenario).total()
-                gpu = chunked_gpu_energy(model, a100, scenario, args.dram_j_per_bit)
-                rows.append([model.name, memory, batch,
-                             scenario.chunks(model.layer_weight_count),
-                             onn, gpu, energy_ratio(macs * a100, onn), energy_ratio(gpu, onn)])
+        for scenario in scenarios:
+            onn = chunked_onn_energy(model, profile, policy, scenario=scenario).total()
+            gpu = chunked_gpu_energy(model, a100, scenario, args.dram_j_per_bit)
+            rows.append([model.name, scenario.memory_capacity_weights, scenario.batch_size,
+                         scenario.chunks(model.layer_weight_count),
+                         onn, gpu, energy_ratio(macs * a100, onn), energy_ratio(gpu, onn)])
     header = ["model", "memory_weights", "batch_size", "chunks",
               "onn_j", "gpu_chunked_j", "advantage_a100", "advantage_chunked_gpu"]
     _emit(args, "chunking", resolved, {
@@ -408,9 +405,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("chunking", cmd_chunking, [models, costing, pricing],
                 "chunked weight-streaming advantage curves")
     p.add_argument("--memory", default="1e8", help="comma list of weight-memory capacities",
-                   type=_number("--memory", "> 0", lambda v: v > 0, many=True))
+                   type=_number("--memory", *_POSITIVE, many=True))
     p.add_argument("--batch", default="1", help="comma list of batch sizes",
-                   type=_number("--batch", ">= 1", lambda v: v >= 1, many=True))
+                   type=_number("--batch", "finite and >= 1", lambda v: 1 <= v < math.inf,
+                                many=True))
     p.add_argument("--dram-j-per-bit", default=1e-12,
                    type=_number("--dram-j-per-bit", *_NON_NEGATIVE))
 

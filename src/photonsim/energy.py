@@ -12,11 +12,15 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, asdict, fields, replace
+from functools import lru_cache
+from itertools import chain
+from operator import itemgetter
 
 from .arch import ModelConfig, compute_breakdown, json_fields, PRODUCT_CLASSES, WEIGHT_MATRICES
 
 LAYER_CLASSES = PRODUCT_CLASSES + ("digital_fns",)
 CATEGORIES = ("electrical_load", "electrical_detect", "optical", "maintenance", "digital")
+_BY_CATEGORY = itemgetter(*CATEGORIES)
 
 # Flat per-MAC digital baselines, J/MAC.
 DIGITAL_BASELINES = {
@@ -174,15 +178,19 @@ class EnergyReport:
     cells: dict[str, dict[str, float]]
     baselines: dict[str, float]
 
+    def _rows(self) -> list[tuple[float, ...]]:
+        # each class's cells in CATEGORIES order, classes in LAYER_CLASSES order
+        return list(map(_BY_CATEGORY, map(self.cells.__getitem__, LAYER_CLASSES)))
+
     def total(self) -> float:
         # canonical summation order; the reported total is this sum exactly
-        return sum(self.cells[c][cat] for c in LAYER_CLASSES for cat in CATEGORIES)
+        return sum(chain.from_iterable(self._rows()))
 
     def class_totals(self) -> dict[str, float]:
-        return {c: sum(self.cells[c][cat] for cat in CATEGORIES) for c in LAYER_CLASSES}
+        return dict(zip(LAYER_CLASSES, map(sum, self._rows())))
 
     def category_totals(self) -> dict[str, float]:
-        return {cat: sum(self.cells[c][cat] for c in LAYER_CLASSES) for cat in CATEGORIES}
+        return dict(zip(CATEGORIES, map(sum, zip(*self._rows()))))
 
     def advantages(self) -> dict[str, float]:
         total = self.total()
@@ -206,24 +214,34 @@ class EnergyReport:
                 for c in LAYER_CLASSES for cat in CATEGORIES]
 
 
-def _empty_cells() -> dict[str, dict[str, float]]:
-    return {c: {cat: 0.0 for cat in CATEGORIES} for c in LAYER_CLASSES}
+@lru_cache(maxsize=256, typed=True)  # typed: an int cost prices its cells as ints
+def _priced_cells(config: ModelConfig, zero_signs: tuple, photons_per_mac: float,
+                  load_cost: float, detect_cost: float, photon_energy: float,
+                  e_maintain: float, element_cost: float) -> tuple[dict, int]:
+    """The weights-in-place cells of `config` at these costs, and its MACs.
+    Equal costs can still differ in the sign of a zero, which the cells keep:
+    `zero_signs` holds it. Calls with equal keys share one result: copy it."""
+    breakdown = compute_breakdown(config)
+    cells = {c: dict.fromkeys(CATEGORIES, 0.0) for c in LAYER_CLASSES}
+    L = config.L
+    for name, counts in breakdown.products.items():
+        cells[name]["electrical_load"] = L * counts.loads * load_cost
+        cells[name]["electrical_detect"] = L * counts.detects * detect_cost
+        cells[name]["optical"] = L * counts.macs * photons_per_mac * photon_energy
+        cells[name]["maintenance"] = L * counts.macs * e_maintain
+    cells["digital_fns"]["digital"] = L * breakdown.digital_elements_per_layer * element_cost
+    return cells, breakdown.total_macs
 
 
 def _energy_report(config: ModelConfig, profile: HardwareProfile, photons_per_mac: float,
                    baselines: dict[str, float] | None) -> EnergyReport:
-    breakdown = compute_breakdown(config)
-    cells = _empty_cells()
-    L = config.L
-    for name, counts in breakdown.products.items():
-        cells[name]["electrical_load"] = L * counts.loads * profile.load_cost
-        cells[name]["electrical_detect"] = L * counts.detects * profile.detect_cost
-        cells[name]["optical"] = L * counts.macs * photons_per_mac * profile.photon_energy
-        cells[name]["maintenance"] = L * counts.macs * profile.e_maintain
-    cells["digital_fns"]["digital"] = (
-        L * breakdown.digital_elements_per_layer * profile.digital_element_cost)
-    return EnergyReport(model=config.name, total_macs=breakdown.total_macs,
-                        cells=cells, baselines=dict(baselines or DIGITAL_BASELINES))
+    costs = (photons_per_mac, profile.load_cost, profile.detect_cost, profile.photon_energy,
+             profile.e_maintain, profile.digital_element_cost)
+    zero_signs = tuple([math.copysign(1.0, c) for c in costs if not c])
+    cells, total_macs = _priced_cells(config, zero_signs, *costs)
+    return EnergyReport(model=config.name, total_macs=total_macs,
+                        cells={c: cats.copy() for c, cats in cells.items()},
+                        baselines=dict(baselines or DIGITAL_BASELINES))
 
 
 def electrical_energy(config: ModelConfig, profile: HardwareProfile | None = None) -> EnergyReport:

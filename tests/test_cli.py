@@ -3,6 +3,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import enum
 import io
 import json
 import math
@@ -721,6 +722,9 @@ def test_last_source_date_epoch(tmp_path, monkeypatch):
     ["simulate", "--photons", "none"],
     ["simulate", "--photons", ""],
     ["chunking", "--memory", "0"],
+    ["chunking", "--memory", "inf"],
+    ["chunking", "--memory", "1e8,inf"],
+    ["chunking", "--batch", "inf"],
     ["sweep", "--ff-grid", "0,abc"],
 ])
 def test_bad_numeric_inputs_are_usage_errors(tmp_path, capsys, argv):
@@ -999,6 +1003,41 @@ def test_vectorized_float_text_matches_reference(tmp_path, values, width, tall, 
         for _ in range(depth):
             written, expected = [written], [expected]
         assert_written_like_reference(tmp_path / "doc.json", expected, written=written)
+
+
+class Level(enum.IntEnum):
+    LOW = 1
+    HUGE = 2 ** 70
+
+
+# every scalar type the encoder takes, each by its exact type and as a subclass
+json_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-2 ** 200, 2 ** 200),
+    st.sampled_from(list(Level)),
+    st.text(), st.text(alphabet='"\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u2028\U0001f600'),
+    edge_floats, edge_floats.map(np.float64),
+)
+json_documents = st.recursive(json_scalars, lambda children: st.one_of(
+    st.lists(children, max_size=4), st.lists(children, max_size=4).map(tuple),
+    st.dictionaries(st.text(), children, max_size=4)), max_leaves=40)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=json_documents)
+def test_write_json_of_any_document_matches_reference(tmp_path, doc):
+    assert_written_like_reference(tmp_path / "doc.json", doc)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=json_documents, key=st.one_of(st.integers(), st.floats(), st.none(), st.booleans(),
+                                         st.tuples(st.text())))
+def test_write_json_rejects_a_key_that_is_not_a_str(tmp_path, doc, key):
+    target = tmp_path / "doc.json"
+    with pytest.raises(TypeError, match="keys must be str"):
+        write_json(str(target), {"ok": doc, "nested": [doc, {"fine": 1, key: doc}]})
+    assert not target.exists()
 
 
 def test_trace_documents_keep_their_bytes(tmp_path):

@@ -1,4 +1,5 @@
 """Energy model: profiles, photon policies, reports, chunking."""
+import copy
 import json
 import math
 
@@ -11,6 +12,7 @@ from photonsim import (CATEGORIES, ChunkingScenario, DIGITAL_BASELINES, Hardware
                        clipped_policy, compute_breakdown, default_policy,
                        default_profile, electrical_energy, find_model, future_profile,
                        product_counts, total_energy)
+import photonsim.energy
 
 REL = 1e-12
 
@@ -356,3 +358,72 @@ def test_chunked_weight_stream_respects_override():
     assert free.chunks(12 * cfg.d * cfg.d) == 1
     rep = chunked_onn_energy(cfg, HardwareProfile(e_read_offchip=0.0), scenario=free)
     assert rep.total() == pytest.approx(total_energy(cfg).total(), rel=1e-12)
+
+
+# --------------------------------------------------------------------------
+# the priced-model memo: reports share one priced table per model and costs
+
+
+def test_mutating_a_report_leaves_later_reports_unchanged():
+    cfg = find_model("GPT2-117M")
+    first = total_energy(cfg)
+    expected = copy.deepcopy(first.cells)
+    for cats in first.cells.values():  # as chunked_onn_energy scales its loads
+        for cat in cats:
+            cats[cat] *= 3
+    first.cells["qkv"] = {}
+    streamed = ChunkingScenario(memory_capacity_weights=1e3)
+    before = chunked_onn_energy(cfg, scenario=streamed).total()
+    later = total_energy(cfg)
+    assert later.cells == expected
+    assert chunked_onn_energy(cfg, scenario=streamed).total() == before
+    assert all(later.cells[c] is not total_energy(cfg).cells[c] for c in LAYER_CLASSES)
+
+
+def test_profiles_never_share_a_priced_model(tmp_path, capsys):
+    from photonsim.cli import main
+    memo = photonsim.energy._priced_cells
+    memo.cache_clear()
+    (tmp_path / "tiny.json").write_text(json.dumps({"name": "tiny", "n": 8, "d": 16, "h": 2,
+                                                    "L": 2}))
+    (tmp_path / "profile.json").write_text(json.dumps({"e_adc": 1e-12}))
+    base = ["energy", "--config", str(tmp_path / "tiny.json"), "--format", "json"]
+    runs = {"default": [], "future": ["--future"],
+            "file": ["--profile", str(tmp_path / "profile.json")]}
+    texts = {}
+    for name, flags in runs.items():
+        assert main(base + flags + ["--out", str(tmp_path / name)]) == 0
+        texts[name] = (tmp_path / name / "energy.json").read_text()
+        assert memo.cache_info().currsize == len(texts)  # a new entry for each profile
+    assert len(set(texts.values())) == 3
+    for name, flags in runs.items():  # and each reads back its own
+        assert main(base + flags + ["--out", str(tmp_path / name)]) == 0
+        assert (tmp_path / name / "energy.json").read_text() == texts[name]
+    assert memo.cache_info().currsize == 3
+
+
+def test_priced_model_memo_is_exact_bounded_and_keyed_by_value():
+    memo = photonsim.energy._priced_cells
+    cfg = ModelConfig("memo", 8, 16, 2, 2)
+    memo.cache_clear()
+    # costs that compare equal but are written apart: an int, a float and a negative zero
+    profiles = [HardwareProfile(e_maintain=zero) for zero in (0, 0.0, -0.0)]
+    for _ in range(2):
+        assert [repr(total_energy(cfg, p).cells["qkv"]["maintenance"]) for p in profiles] == [
+            "0", "0.0", "-0.0"]
+    assert memo.cache_info().currsize == 3
+    # equal profiles that are distinct objects share an entry; a profile changed
+    # in place is priced again
+    memo.cache_clear()
+    profile = default_profile()
+    first = total_energy(cfg, profile).total()
+    assert total_energy(cfg, default_profile()).total() == first
+    assert memo.cache_info().hits == 1
+    profile.e_dac *= 2
+    assert total_energy(cfg, profile).total() > first
+    assert memo.cache_info().currsize == 2
+    limit = memo.cache_info().maxsize
+    assert limit is not None
+    for i in range(limit + 10):
+        total_energy(cfg, policy=PhotonPolicy(reference_photons_per_mac=1000.0 + i))
+    assert memo.cache_info().currsize == limit
