@@ -21,7 +21,6 @@ def fmt(x: float) -> str:
 
 
 _INDENT = "  "
-_MIN_NORMAL = sys.float_info.min
 
 
 class _Pieces(list):
@@ -55,7 +54,7 @@ def _float_text(x: float) -> str:
     repr and "%.9g" choose the same notation the text is already repr's."""
     text = f"{x:.9g}"  # fmt, inlined
     if "e" in text:  # repr writes e-notation only below 1e-4 and from 1e16
-        return text if "e-" in text and abs(x) >= _MIN_NORMAL else repr(float(text))
+        return text if "e-" in text and abs(x) >= sys.float_info.min else repr(float(text))
     if "." in text:
         return text
     if math.isfinite(x):
@@ -118,7 +117,7 @@ def _rows_text(block: np.ndarray, cells: np.ndarray, head: str, tail: str) -> st
     v = block.ravel()
     m = np.abs(v)
     with np.errstate(all="ignore"):  # the fallback's inf, nan and 0 go through too
-        plain = m >= _MIN_NORMAL
+        plain = m >= sys.float_info.min
         plain &= np.abs(m - np.rint(m)) > 1e-8 * m  # every |v| >= 5e7 fails
         fast = plain.copy()
         k = np.log10(m)
@@ -205,33 +204,29 @@ def _array_text(a: np.ndarray, depth: int, seen: dict):
     return text
 
 
+_SCALARS = {float: _float_text, str: encode_basestring_ascii, int: int.__repr__}
+
+
 def _encode(obj, depth: int, seen: dict):
     """json.dumps(obj, indent=2) at nesting `depth`, with floats at 9
     significant digits and non-finite floats as strings; an ndarray is
     written as its tolist(). One string, or _Pieces where `obj` holds an
     array's rows. `seen` records the document's formatted arrays
     (_array_text)."""
-    kind = type(obj)  # the exact built-in types first: they are nearly every value
-    if kind is float:
-        return _float_text(obj)
-    if kind is str:
-        return encode_basestring_ascii(obj)
-    if kind is int:
-        return int.__repr__(obj)
-    if kind is not dict and kind is not list:
-        # bool, None, tuples, subclasses such as np.float64 or IntEnum, and ndarrays
-        if isinstance(obj, str):
-            return encode_basestring_ascii(obj)
+    kind = type(obj)
+    scalar = _SCALARS.get(kind)  # an exact built-in type first: nearly every value is one
+    if scalar is not None:
+        return scalar(obj)
+    if kind is not list and kind is not dict:
         if obj is None:
             return "null"
         if obj is True:
             return "true"
         if obj is False:
             return "false"
-        if isinstance(obj, int):
-            return int.__repr__(obj)
-        if isinstance(obj, float):
-            return _float_text(obj)
+        for base, scalar in _SCALARS.items():  # subclasses such as np.float64 and IntEnum
+            if isinstance(obj, base):
+                return scalar(obj)
         np = sys.modules.get("numpy")  # no ndarray exists before numpy is imported
         if np is not None and isinstance(obj, np.ndarray):
             return _array_text(obj, depth, seen)
@@ -283,19 +278,11 @@ def write_csv(path: str, header: list[str], rows) -> None:
 
 def _non_finite(obj) -> bool:
     """Whether a JSON document holds a NaN or an infinity."""
-    kind = type(obj)  # the exact built-in types first
-    if kind is float:
+    if type(obj) is float or isinstance(obj, float):  # an exact float first
         return not math.isfinite(obj)
-    if kind is str or kind is int:
-        return False
-    if kind is dict:
+    if isinstance(obj, dict):
         obj = obj.values()
-    elif kind is not list:  # today's chain: subclasses such as np.float64, tuples
-        if isinstance(obj, float):
-            return not math.isfinite(obj)
-        if isinstance(obj, dict):
-            obj = obj.values()
-        elif not isinstance(obj, (list, tuple)):
-            return False
-    # a float item is tested here, without a call
+    elif not isinstance(obj, (list, tuple)):
+        return False
+    # an exact float item is tested here, without a call
     return any([not math.isfinite(v) if type(v) is float else _non_finite(v) for v in obj])

@@ -66,6 +66,7 @@ def _number(name: str, rule: str, valid, cast=float, many: bool = False):
 _SEED = ("a non-negative integer", lambda v: v >= 0, int)
 _NON_NEGATIVE = ("finite and >= 0", lambda v: 0 <= v < math.inf)
 _POSITIVE = ("finite and > 0", lambda v: 0 < v < math.inf)
+_AT_LEAST_ONE = ("finite and >= 1", lambda v: 1 <= v < math.inf)
 _PHOTONS = _number("--photons", "> 0 or 'inf'", lambda v: v > 0)
 _LAST_EPOCH = 253402300799  # 9999-12-31T23:59:59Z
 _EPOCH = _number("SOURCE_DATE_EPOCH", f"an integer in [0, {_LAST_EPOCH}]",
@@ -97,7 +98,10 @@ def _emit(args, command: str, resolved: dict, files: dict, always=None) -> None:
     files = {**(always or {}), **{name: payload for name, payload in files.items()
                                   if args.format in (name.rsplit(".", 1)[1], "both")}}
     for name, payload in files.items():
-        if _non_finite(payload):  # a CSV payload's (header, rows) too
+        # a CSV payload's rows are flat: one comprehension, not a call per cell
+        numbers = ([v for row in payload[1] for v in row if isinstance(v, float)]
+                   if name.endswith(".csv") else payload)
+        if _non_finite(numbers):
             raise CliError("over_limit", f"a result left the float64 range: {name}")
     os.makedirs(args.out or ".", exist_ok=True)
     outputs = []
@@ -407,8 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--memory", default="1e8", help="comma list of weight-memory capacities",
                    type=_number("--memory", *_POSITIVE, many=True))
     p.add_argument("--batch", default="1", help="comma list of batch sizes",
-                   type=_number("--batch", "finite and >= 1", lambda v: 1 <= v < math.inf,
-                                many=True))
+                   type=_number("--batch", *_AT_LEAST_ONE, many=True))
     p.add_argument("--dram-j-per-bit", default=1e-12,
                    type=_number("--dram-j-per-bit", *_NON_NEGATIVE))
 

@@ -178,9 +178,9 @@ class EnergyReport:
     cells: dict[str, dict[str, float]]
     baselines: dict[str, float]
 
-    def _rows(self) -> list[tuple[float, ...]]:
+    def _rows(self):
         # each class's cells in CATEGORIES order, classes in LAYER_CLASSES order
-        return list(map(_BY_CATEGORY, map(self.cells.__getitem__, LAYER_CLASSES)))
+        return map(_BY_CATEGORY, map(self.cells.__getitem__, LAYER_CLASSES))
 
     def total(self) -> float:
         # canonical summation order; the reported total is this sum exactly
@@ -218,9 +218,8 @@ class EnergyReport:
 def _priced_cells(config: ModelConfig, zero_signs: tuple, photons_per_mac: float,
                   load_cost: float, detect_cost: float, photon_energy: float,
                   e_maintain: float, element_cost: float) -> tuple[dict, int]:
-    """The weights-in-place cells of `config` at these costs, and its MACs.
-    Equal costs can still differ in the sign of a zero, which the cells keep:
-    `zero_signs` holds it. Calls with equal keys share one result: copy it."""
+    """The weights-in-place cells of `config` at these costs, and its MACs. Equal keys
+    share one result: copy it. `zero_signs` tells -0.0 from 0.0, which compare equal."""
     breakdown = compute_breakdown(config)
     cells = {c: dict.fromkeys(CATEGORIES, 0.0) for c in LAYER_CLASSES}
     L = config.L
@@ -237,7 +236,7 @@ def _energy_report(config: ModelConfig, profile: HardwareProfile, photons_per_ma
                    baselines: dict[str, float] | None) -> EnergyReport:
     costs = (photons_per_mac, profile.load_cost, profile.detect_cost, profile.photon_energy,
              profile.e_maintain, profile.digital_element_cost)
-    zero_signs = tuple([math.copysign(1.0, c) for c in costs if not c])
+    zero_signs = () if all(costs) else tuple([math.copysign(1.0, c) for c in costs if not c])
     cells, total_macs = _priced_cells(config, zero_signs, *costs)
     return EnergyReport(model=config.name, total_macs=total_macs,
                         cells={c: cats.copy() for c, cats in cells.items()},
@@ -287,6 +286,12 @@ class ChunkingScenario:
         return max(1, math.ceil(layer_weight_count / self.memory_capacity_weights))
 
 
+# each weight matrix's share rows*cols*d^2 / layer_weight_count of a layer's weights,
+# an integer quotient that true division rounds to the same float at every d
+_WEIGHT_FRACTIONS = [(name, rows * cols / sum(r * c for _, r, c in WEIGHT_MATRICES))
+                     for name, rows, cols in WEIGHT_MATRICES]
+
+
 def chunked_onn_energy(config: ModelConfig, profile: HardwareProfile | None = None,
                        policy: PhotonPolicy | None = None, *,
                        scenario: ChunkingScenario) -> EnergyReport:
@@ -308,8 +313,7 @@ def chunked_onn_energy(config: ModelConfig, profile: HardwareProfile | None = No
         report.cells[name]["electrical_load"] *= k
     weight_load = (config.param_count * profile.mem_bits_per_scalar * profile.e_read_offchip
                    / scenario.batch_size)
-    for name, rows, cols in WEIGHT_MATRICES:
-        fraction = rows * cols * config.d * config.d / config.layer_weight_count
+    for name, fraction in _WEIGHT_FRACTIONS:
         report.cells[name]["electrical_load"] += weight_load * fraction
     return report
 

@@ -25,6 +25,7 @@ from photonsim import (ChunkingScenario, DIGITAL_BASELINES, HardwareProfile, Mod
                        save_catalogue, save_lut, total_energy)
 import photonsim.cli
 import photonsim.txsim
+from photonsim.artifacts import _non_finite
 from photonsim.cli import build_parser, main, write_json
 
 TINY = {"name": "tiny", "n": 8, "d": 16, "h": 2, "L": 2}
@@ -1038,6 +1039,16 @@ def test_write_json_rejects_a_key_that_is_not_a_str(tmp_path, doc, key):
     with pytest.raises(TypeError, match="keys must be str"):
         write_json(str(target), {"ok": doc, "nested": [doc, {"fine": 1, key: doc}]})
     assert not target.exists()
+
+
+@pytest.mark.parametrize("doc, expected", [
+    ([1.5, {"a": (2.5, "x", 3, None, True)}, [np.float64(1.5), "nan", 10 ** 400]], False),
+    ({"a": [1, (2.5, math.nan)]}, True),
+    ((np.float64(math.inf),), True),
+    ({"a": {"b": [-math.inf]}}, True),
+])
+def test_non_finite_finds_nan_and_inf_at_any_depth(doc, expected):
+    assert _non_finite(doc) is expected
 
 
 def test_trace_documents_keep_their_bytes(tmp_path):
