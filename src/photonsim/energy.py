@@ -286,12 +286,6 @@ class ChunkingScenario:
         return max(1, math.ceil(layer_weight_count / self.memory_capacity_weights))
 
 
-# each weight matrix's share rows*cols*d^2 / layer_weight_count of a layer's weights,
-# an integer quotient that true division rounds to the same float at every d
-_WEIGHT_FRACTIONS = [(name, rows * cols / sum(r * c for _, r, c in WEIGHT_MATRICES))
-                     for name, rows, cols in WEIGHT_MATRICES]
-
-
 def chunked_onn_energy(config: ModelConfig, profile: HardwareProfile | None = None,
                        policy: PhotonPolicy | None = None, *,
                        scenario: ChunkingScenario) -> EnergyReport:
@@ -313,7 +307,8 @@ def chunked_onn_energy(config: ModelConfig, profile: HardwareProfile | None = No
         report.cells[name]["electrical_load"] *= k
     weight_load = (config.param_count * profile.mem_bits_per_scalar * profile.e_read_offchip
                    / scenario.batch_size)
-    for name, fraction in _WEIGHT_FRACTIONS:
+    for name, rows, cols in WEIGHT_MATRICES:
+        fraction = rows * cols * config.d * config.d / config.layer_weight_count
         report.cells[name]["electrical_load"] += weight_load * fraction
     return report
 
