@@ -723,10 +723,10 @@ def test_last_source_date_epoch(tmp_path, monkeypatch):
     ["simulate", "--photons", "none"],
     ["simulate", "--photons", ""],
     ["chunking", "--memory", "0"],
+    ["sweep", "--ff-grid", "0,abc"],
     ["chunking", "--memory", "inf"],
     ["chunking", "--memory", "1e8,inf"],
     ["chunking", "--batch", "inf"],
-    ["sweep", "--ff-grid", "0,abc"],
 ])
 def test_bad_numeric_inputs_are_usage_errors(tmp_path, capsys, argv):
     out = tmp_path / "o"
