@@ -13,6 +13,7 @@ from photonsim import (CATEGORIES, ChunkingScenario, DIGITAL_BASELINES, Hardware
                        default_profile, electrical_energy, find_model, future_profile,
                        product_counts, total_energy)
 import photonsim.energy
+from photonsim.cli import main
 
 REL = 1e-12
 
@@ -381,7 +382,6 @@ def test_mutating_a_report_leaves_later_reports_unchanged():
 
 
 def test_profiles_never_share_a_priced_model(tmp_path, capsys):
-    from photonsim.cli import main
     memo = photonsim.energy._priced_cells
     memo.cache_clear()
     (tmp_path / "tiny.json").write_text(json.dumps({"name": "tiny", "n": 8, "d": 16, "h": 2,
