@@ -270,19 +270,18 @@ def write_csv(path: str, header: list[str], rows) -> None:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    # fmt, inlined, for each float: an exact float first, then a subclass such as np.float64
-    writer.writerows([f"{v:.9g}" if type(v) is float or isinstance(v, float) else v for v in row]
+    writer.writerows([f"{v:.9g}" if isinstance(v, float) else v for v in row]  # fmt, inlined
                      for row in rows)
     _atomic_write(path, [buf.getvalue()])
 
 
 def _non_finite(obj) -> bool:
     """Whether a JSON document holds a NaN or an infinity."""
-    if type(obj) is float or isinstance(obj, float):  # an exact float first
+    if isinstance(obj, float):
         return not math.isfinite(obj)
     if isinstance(obj, dict):
         obj = obj.values()
     elif not isinstance(obj, (list, tuple)):
         return False
-    # an exact float item is tested here, without a call
-    return any([not math.isfinite(v) if type(v) is float else _non_finite(v) for v in obj])
+    # a float item is tested here, without a call
+    return any([not math.isfinite(v) if isinstance(v, float) else _non_finite(v) for v in obj])
