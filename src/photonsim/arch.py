@@ -1,8 +1,9 @@
 """Transformer shape accounting: MAC counts, scalar traffic, hardware sizing.
 
 Counts cover one forward pass over a full context of n tokens for a
-decoder-style model with pre-norm blocks and a 4x feed-forward expansion.
-Embedding/unembedding lookups are excluded; only block compute is billed.
+decoder-style model with pre-norm blocks and the feed-forward width of
+WEIGHT_MATRICES. Embedding/unembedding lookups are excluded; only block
+compute is billed.
 """
 from __future__ import annotations
 
@@ -18,6 +19,10 @@ from .artifacts import write_json
 # (product class, rows, cols) with rows and cols in units of d, in the order
 # init_weights draws them. Each is the right operand of its class's product.
 WEIGHT_MATRICES = (("qkv", 1, 3), ("out_proj", 1, 1), ("ff1", 1, 4), ("ff2", 4, 1))
+
+# The feed-forward width in units of d: the columns of ff1, which the
+# activation runs over and ff2 reads back.
+_FF_WIDTH = {name: cols for name, _, cols in WEIGHT_MATRICES}["ff1"]
 
 
 def json_fields(doc, cls, kind: str, **defaults) -> dict:
@@ -178,7 +183,7 @@ def compute_breakdown(config: ModelConfig) -> ComputeBreakdown:
     digital = {
         "softmax": h * n * n,   # one element per attention score
         "layernorm": 2 * n * d,  # two norms per layer
-        "activation": 4 * n * d,  # relu6 over the ff1 output
+        "activation": _FF_WIDTH * n * d,  # relu6 over the ff1 output
         "residual": 2 * n * d,   # two residual adds per layer
     }
     return ComputeBreakdown(layers=config.L, products=products, digital_elements=digital)
@@ -197,20 +202,20 @@ class HardwareRequirements:
 def hardware_requirements(config: ModelConfig, core_size: float = 1e7) -> HardwareRequirements:
     """Size the optical hardware for one model.
 
-    The widest vectors moved in one step are the 4d-long feed-forward
-    activations, so input modulators and detector counts are 4d. Core count
+    The widest vectors moved in one step are the feed-forward activations,
+    so input modulators and detector counts are their width. Core count
     assumes the largest of the WEIGHT_MATRICES is tiled over MVM cores of
-    `core_size` weights each. SRAM holds the 4d x n activation tensor at one
-    byte per scalar.
+    `core_size` weights each. SRAM holds the n feed-forward activation
+    vectors at one byte per scalar.
     """
     if not 0 < core_size < math.inf:
         raise ValueError(f"core_size must be finite and positive, got {core_size}")
-    d, n = config.d, config.n
+    d, width = config.d, _FF_WIDTH * config.d
     return HardwareRequirements(
-        input_vector_elements=4 * d,
-        detectors=4 * d,
+        input_vector_elements=width,
+        detectors=width,
         mvm_cores=math.ceil(max(r * c for _, r, c in WEIGHT_MATRICES) * d * d / core_size),
-        sram_bytes=4 * n * d,
+        sram_bytes=config.n * width,
     )
 
 

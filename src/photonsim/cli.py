@@ -82,9 +82,11 @@ def _timestamp() -> str:
 
 def write_manifest(out_dir: str, command: str, seed: int, resolved: dict,
                    outputs: list[str], timestamp: str) -> str:
+    """Write `<command>_manifest.json` in `out_dir`, listing the names of the
+    `outputs` written there."""
     path = os.path.join(out_dir, f"{command}_manifest.json")
     write_json(path, {"command": command, "seed": seed, "resolved": resolved,
-                      "outputs": sorted(os.path.basename(p) for p in outputs),
+                      "outputs": sorted(outputs),
                       "version": __version__, "timestamp": timestamp})
     return path
 
@@ -104,15 +106,20 @@ def _emit(args, command: str, resolved: dict, files: dict, always=None) -> None:
         if _non_finite(numbers):
             raise CliError("over_limit", f"a result left the float64 range: {name}")
     os.makedirs(args.out or ".", exist_ok=True)
-    outputs = []
     for name, payload in files.items():
         path = os.path.join(args.out, name)
         if name.endswith(".csv"):
             write_csv(path, *payload)
         else:
             write_json(path, payload)
-        outputs.append(path)
-    write_manifest(args.out, command, args.seed, resolved, outputs, args.timestamp)
+    write_manifest(args.out, command, args.seed, resolved, list(files), args.timestamp)
+
+
+def _table(stem: str, header: list[str], rows: list[list]) -> dict:
+    """The `_emit` files of one table: `<stem>.csv`, and `<stem>.json` with an
+    object per row keyed by `header`."""
+    return {f"{stem}.csv": (header, rows),
+            f"{stem}.json": [dict(zip(header, row)) for row in rows]}
 
 
 def _check_out(out: str) -> None:
@@ -263,10 +270,7 @@ def cmd_requirements(args) -> list[str]:
         lines.append(f"{model.name}: {req.input_vector_elements} inputs, {req.detectors} "
                      f"detectors, {req.mvm_cores} cores, {req.sram_bytes / 1e6:.4g} MB SRAM")
     header = ["model", "input_vector_elements", "detectors", "mvm_cores", "sram_bytes"]
-    _emit(args, "requirements", resolved, {
-        "requirements.csv": (header, rows),
-        "requirements.json": [dict(zip(header, row)) for row in rows],
-    })
+    _emit(args, "requirements", resolved, _table("requirements", header, rows))
     return lines
 
 
@@ -289,10 +293,7 @@ def cmd_chunking(args) -> list[str]:
                          onn, gpu, energy_ratio(macs * a100, onn), energy_ratio(gpu, onn)])
     header = ["model", "memory_weights", "batch_size", "chunks",
               "onn_j", "gpu_chunked_j", "advantage_a100", "advantage_chunked_gpu"]
-    _emit(args, "chunking", resolved, {
-        "chunking.csv": (header, rows),
-        "chunking.json": [dict(zip(header, row)) for row in rows],
-    })
+    _emit(args, "chunking", resolved, _table("chunking", header, rows))
     return []
 
 
@@ -337,10 +338,7 @@ def cmd_sweep(args) -> list[str]:
                 rows.append([ff, attn, seed, float(surface[i, j])])
 
     header = ["ff_percent", "attn_percent", "seed", "deviation"]
-    _emit(args, "sweep", resolved, {
-        "sweep.csv": (header, rows),
-        "sweep.json": [dict(zip(header, row)) for row in rows],
-    })
+    _emit(args, "sweep", resolved, _table("sweep", header, rows))
     return [f"{config.name}: {len(rows)} sweep cells written"]
 
 

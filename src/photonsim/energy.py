@@ -49,7 +49,7 @@ class HardwareProfile:
         # by declared type; a bool (json `true`) is neither a float nor an int here
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.type in ("int", int):
+            if f.type == "int":
                 if type(value) is not int or value < 1:
                     raise ValueError(f"{f.name} must be an integer >= 1, got {value!r}")
             elif isinstance(value, bool) or not 0 <= value < math.inf:  # NaN fails too
@@ -82,10 +82,14 @@ def default_profile() -> HardwareProfile:
     return HardwareProfile()
 
 
+# what a call given no profile prices with; never modified
+_DEFAULT_PROFILE = default_profile()
+
+
 def future_profile(base: HardwareProfile | None = None) -> HardwareProfile:
     """Projected-electronics variant: free weight maintenance, 32x cheaper
     converters, 5x cheaper memory, 10x cheaper amplification."""
-    base = base or default_profile()
+    base = base or _DEFAULT_PROFILE
     return replace(
         base,
         e_maintain=0.0,
@@ -156,6 +160,10 @@ class PhotonPolicy:
 
 def default_policy() -> PhotonPolicy:
     return PhotonPolicy()
+
+
+# what a call given no policy prices with; never modified
+_DEFAULT_POLICY = default_policy()
 
 
 def clipped_policy() -> PhotonPolicy:
@@ -246,16 +254,15 @@ def _energy_report(config: ModelConfig, profile: HardwareProfile, photons_per_ma
 def electrical_energy(config: ModelConfig, profile: HardwareProfile | None = None) -> EnergyReport:
     """Electrical cells only: load/detect per product class, weight
     maintenance per MAC, and the digital-function memory traffic."""
-    return _energy_report(config, profile or default_profile(), 0.0, None)
+    return _energy_report(config, profile or _DEFAULT_PROFILE, 0.0, None)
 
 
 def total_energy(config: ModelConfig, profile: HardwareProfile | None = None,
                  policy: PhotonPolicy | None = None,
                  baselines: dict[str, float] | None = None) -> EnergyReport:
     """Full per-inference report: electrical + optical + maintenance + digital."""
-    policy = policy or default_policy()
-    return _energy_report(config, profile or default_profile(),
-                          policy.photons_per_mac(config.d), baselines)
+    return _energy_report(config, profile or _DEFAULT_PROFILE,
+                          (policy or _DEFAULT_POLICY).photons_per_mac(config.d), baselines)
 
 
 def advantage(config: ModelConfig, profile: HardwareProfile | None = None,
@@ -298,7 +305,7 @@ def chunked_onn_energy(config: ModelConfig, profile: HardwareProfile | None = No
     attributed to the weight-bearing classes in proportion to their weight
     counts.
     """
-    profile = profile or default_profile()
+    profile = profile or _DEFAULT_PROFILE
     report = total_energy(config, profile, policy)
     if config.param_count <= scenario.memory_capacity_weights:
         return report  # whole model resident: degenerate chunking

@@ -67,14 +67,11 @@ class LookupTable:
     """Representable transmission levels of a modulation device.
 
     Levels are fractions of the maximum transmission: sorted ascending,
-    non-negative, normalized so the top level is exactly 1.0. `floor` is the
-    minimum nonzero transmission (devices that cannot fully extinguish have
-    no zero level and floor > 0). The table is immutable, so what is derived
-    from its levels is computed once.
+    non-negative, normalized so the top level is exactly 1.0. The table is
+    immutable, so what is derived from its levels is computed once.
     """
 
     levels: np.ndarray
-    floor: float = 0.0
 
     def __post_init__(self) -> None:
         levels = np.asarray(self.levels, dtype=float)
@@ -88,13 +85,14 @@ class LookupTable:
             raise ValueError("levels must be non-negative")
         if abs(levels[-1] - 1.0) > 1e-12:
             raise ValueError(f"levels must be normalized to max 1.0, got max {levels[-1]}")
-        if not 0 <= self.floor < 1:
-            raise ValueError(f"floor must be in [0, 1), got {self.floor}")
-        nonzero = levels[levels > 0]
-        if self.floor > 0 and nonzero.size and nonzero.min() < self.floor - 1e-12:
-            raise ValueError("nonzero levels fall below the stated floor")
         levels.flags.writeable = False
         object.__setattr__(self, "levels", levels)
+
+    @cached_property
+    def floor(self) -> float:
+        """The least nonzero level. A device that cannot fully extinguish
+        has no zero level, and its floor is its least level."""
+        return float(self.levels[self.levels > 0].min())
 
     @cached_property
     def unique_levels(self) -> np.ndarray:
@@ -120,11 +118,10 @@ def lut_synthesize(unique_levels: int, total_levels: int, floor: float = 0.0) ->
     if not 0 <= floor < 1:
         raise ValueError(f"floor must be in [0, 1), got {floor}")
     if unique_levels == 1:
-        return LookupTable(levels=np.ones(total_levels), floor=floor)
+        return LookupTable(levels=np.ones(total_levels))
     uniq = np.linspace(floor, 1.0, unique_levels)
     raw = np.linspace(floor, 1.0, total_levels)
-    table = _snap_deterministic(raw, uniq)
-    return LookupTable(levels=table, floor=floor)
+    return LookupTable(levels=_snap_deterministic(raw, uniq))
 
 
 def lut_from_csv(text: str) -> LookupTable:
@@ -144,9 +141,7 @@ def lut_from_csv(text: str) -> LookupTable:
     levels = np.asarray(values)
     if np.any(levels < 0) or np.any(levels > 1):
         raise ValueError("values must lie in [0, 1]")
-    nonzero = levels[levels > 0]
-    floor = float(nonzero.min()) if nonzero.size else 0.0
-    return LookupTable(levels=levels, floor=floor)
+    return LookupTable(levels=levels)
 
 
 def load_lut(path: str | os.PathLike) -> LookupTable:
@@ -183,12 +178,12 @@ class QuantizerSpec:
             raise ValueError(f"mode must be one of {QUANTIZER_MODES}, got {self.mode!r}")
         if self.rounding not in ROUNDING_MODES:
             raise ValueError(f"rounding must be one of {ROUNDING_MODES}, got {self.rounding!r}")
-        if self.bits < 1:
-            raise ValueError(f"bits must be >= 1, got {self.bits}")
+        if type(self.bits) is not int or self.bits < 1:  # bool is an int subclass
+            raise ValueError(f"bits must be an integer >= 1, got {self.bits!r}")
         if not 0 < self.ema_gamma < 1:
             raise ValueError(f"ema_gamma must be in (0, 1), got {self.ema_gamma}")
-        if not 0 < self.clip_percentile <= 100:
-            raise ValueError(f"clip_percentile must be in (0, 100], got {self.clip_percentile}")
+        if isinstance(self.clip_percentile, bool) or not 0 < self.clip_percentile <= 100:
+            raise ValueError(f"clip_percentile must be in (0, 100], got {self.clip_percentile!r}")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self))
@@ -588,8 +583,7 @@ def lut_snap(values, lut: LookupTable) -> np.ndarray:
 def optical_matmul(w, x, noise: NoiseSpec | None = None,
                    input_lut: LookupTable | None = None,
                    weight_lut: LookupTable | None = None,
-                   seed=None, *, kind: str = "ff",
-                   photon_accounting: str = "per_pass") -> np.ndarray:
+                   seed=None, *, kind: str = "ff") -> np.ndarray:
     """Full simulated pipeline for one product W @ X.
 
     Quantize operands through their LUTs, decompose into four non-negative
@@ -600,16 +594,13 @@ def optical_matmul(w, x, noise: NoiseSpec | None = None,
     systematic percentage applies: "ff" for weight products, "attn" for
     activation-activation products (both operands then use the input LUT).
 
-    photon_accounting: "per_pass" gives each pass the full per-MAC budget
-    (each pass is a separate shot-noise-limited readout); "shared" splits
-    one budget across the four passes.
+    Each of the four passes is read out at the full `noise.photons_per_mac`;
+    a budget split across the passes is a quarter of it.
     """
     if noise is None:
         noise = NoiseSpec()
     if kind not in ("ff", "attn"):
         raise ValueError(f"kind must be 'ff' or 'attn', got {kind!r}")
-    if photon_accounting not in ("per_pass", "shared"):
-        raise ValueError(f"photon_accounting must be 'per_pass' or 'shared', got {photon_accounting!r}")
     w = np.asarray(w, dtype=float)
     x = np.asarray(x, dtype=float)
     if w.ndim != 2 or x.ndim != 2 or w.shape[1] != x.shape[0]:
@@ -628,8 +619,6 @@ def optical_matmul(w, x, noise: NoiseSpec | None = None,
         product = w @ x
     else:
         budget = noise.photons_per_mac
-        if photon_accounting == "shared":
-            budget /= 4.0
         macs_per_output = w.shape[1]
         if budget * macs_per_output >= GAUSSIAN_SHOT_PHOTONS:
             product = _gaussian_shot_product(w, x, budget, rng)

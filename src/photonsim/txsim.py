@@ -280,7 +280,7 @@ def _sweep_workers(config: ModelConfig, costs: list[int]):
             or threading.active_count() > 1
             or (forward, OpticalBackend.matmul) != _UNINSTRUMENTED):
         return 1, None
-    layer_outputs = sum(counts.detects for counts in compute_breakdown(config).products.values())
+    layer_outputs = compute_breakdown(config).detects_per_layer
     free = os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     workers = min(len(os.sched_getaffinity(0)), len(costs), sum(costs) // _SHARE_OUTPUTS,
                   1 + free // (_WORKER_BYTES_PER_OUTPUT * layer_outputs))

@@ -529,7 +529,9 @@ def test_heads_that_do_not_divide_d_are_parse_errors(tmp_path, capsys, monkeypat
     ["catalogue", "--out", "FILE/sub"],
     *([command, "--config", "CONFIG", "--out", "FILE/sub"]
       for command in ("requirements", "chunking", "simulate", "sweep")),
-], ids=["out_is_file", "out_under_file", "requirements", "chunking", "simulate", "sweep"])
+    *([command, "--config", "CONFIG", "--out", "FILE"] for command in ("simulate", "sweep")),
+], ids=["out_is_file", "out_under_file", "requirements", "chunking", "simulate", "sweep",
+        "simulate_out_is_file", "sweep_out_is_file"])
 def test_unwritable_output_is_io_error(tmp_path, capsys, monkeypatch, argv):
     # stdout shows only results whose files were written; and a forward pass
     # whose results cannot be written does not run
@@ -543,7 +545,8 @@ def test_unwritable_output_is_io_error(tmp_path, capsys, monkeypatch, argv):
     assert main([config if a == "CONFIG" else a.replace("FILE", str(taken)) for a in argv]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error:io: [Errno ")
+    assert captured.err.startswith("error:io: [Errno 17]" if argv[-1] == "FILE"
+                                   else "error:io: [Errno ")
     assert captured.err.count("\n") == 1
 
 
@@ -1046,6 +1049,8 @@ def test_write_json_rejects_a_key_that_is_not_a_str(tmp_path, doc, key):
     ({"a": [1, (2.5, math.nan)]}, True),
     ((np.float64(math.inf),), True),
     ({"a": {"b": [-math.inf]}}, True),
+    (math.nan, True),
+    (1.5, False),
 ])
 def test_non_finite_finds_nan_and_inf_at_any_depth(doc, expected):
     assert _non_finite(doc) is expected

@@ -381,6 +381,29 @@ def test_mutating_a_report_leaves_later_reports_unchanged():
     assert all(later.cells[c] is not total_energy(cfg).cells[c] for c in LAYER_CLASSES)
 
 
+def test_calls_given_no_profile_or_policy_build_none(monkeypatch):
+    cfg = find_model("GPT2-117M")
+    before = total_energy(cfg).to_json_dict()
+    built = []
+    for cls in (HardwareProfile, PhotonPolicy):
+        monkeypatch.setattr(cls, "__post_init__", lambda self, check=cls.__post_init__:
+                            built.append(type(self)) or check(self))
+    streamed = ChunkingScenario(memory_capacity_weights=1e3)
+    total_energy(cfg)
+    electrical_energy(cfg)
+    chunked_onn_energy(cfg, scenario=streamed)
+    assert built == []
+    future_profile()
+    assert built == [HardwareProfile]  # the future profile itself
+    monkeypatch.undo()
+    # what default_profile() and default_policy() return is the caller's own
+    profile, policy = default_profile(), default_policy()
+    assert profile is not default_profile() and policy is not default_policy()
+    profile.e_dac *= 2
+    policy.reference_photons_per_mac *= 2
+    assert total_energy(cfg).to_json_dict() == before
+
+
 def test_profiles_never_share_a_priced_model(tmp_path, capsys):
     memo = photonsim.energy._priced_cells
     memo.cache_clear()

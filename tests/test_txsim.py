@@ -3,6 +3,7 @@ import json
 import math
 import os
 import pathlib
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -453,6 +454,12 @@ def test_sweep_workers_are_bounded_by_cores_cells_cost_and_free_memory(monkeypat
     assert workers([share] * 16) == 4    # this process and the workers free memory holds
     free_pages[0] = 0
     assert workers([share] * 16) == 1
+
+
+def test_openblas_threads_without_numpys_extension_module(monkeypatch):
+    for name in ("numpy._core._multiarray_umath", "numpy.core._multiarray_umath"):
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    assert photonsim.txsim._openblas_threads() is None
 
 
 def test_sweep_beside_another_thread_stays_in_one_process(monkeypatch):
