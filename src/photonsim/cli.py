@@ -7,6 +7,7 @@ inputs, in the byte-stable formats of `artifacts`.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -137,6 +138,23 @@ def _check_out(out: str) -> None:
     raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), missing)
 
 
+@functools.cache
+def _keep_freed_pages() -> None:
+    """Raise glibc's allocator thresholds for the rest of this process, once:
+    blocks up to 32 MiB come from the heap instead of fresh mappings, and up
+    to 64 MiB of freed heap is kept instead of handed back. A forward pass
+    then reuses its temporaries' pages instead of faulting in new ones.
+    Forked sweep workers inherit the setting. Nothing happens where the C
+    library has no mallopt."""
+    import ctypes
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # no mallopt; TypeError: no CDLL(None)
+        return
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
 # --------------------------------------------------------------------------
 # Shared resolution
 
@@ -224,7 +242,9 @@ def _simulation_inputs(args, noise: dict) -> tuple[ModelConfig, dict, tuple, flo
     luts = tuple(_read(f"{side} LUT", path, lut_from_csv) if path else None
                  for side, path in (("input", args.input_lut), ("weight", args.weight_lut)))
     _check_out(args.out)
-    return (config, resolved, luts, _PHOTONS(args.photons),
+    photons = _PHOTONS(args.photons)
+    _keep_freed_pages()
+    return (config, resolved, luts, photons,
             init_weights(config, args.seed), make_input(config, args.seed))
 
 

@@ -38,7 +38,10 @@ GAUSSIAN_SHOT_PHOTONS = 1000.0
 MAX_SNAP_BINS = 1 << 16
 
 # Elements per block of a table snap: 256 KiB per float temporary, so that a
-# block's temporaries stay in cache.
+# block's temporaries stay in cache. Under glibc's default mmap threshold of
+# 128 KiB each such temporary is a fresh mapping, whose pages fault in anew
+# on every block; `simulate` and `sweep` raise the threshold
+# (`cli._keep_freed_pages`).
 _SNAP_BLOCK = 1 << 15
 
 
@@ -236,26 +239,36 @@ class _SnapTable(NamedTuple):
     breakpoint: the result is levels[number of breakpoints <= x]. With M =
     2^k uniform bins over [0, 1] that put no two breakpoints in one bin, that
     number is `index_at[b] - (x < breakpoint[b])` for x in bin b. NaN, which
-    compares false, gets the top level, as the binary search gives it.
+    compares false, gets the top level, as the binary search gives it. The
+    per-bin arrays have one entry more, a copy of bin M - 1, for x = 1.0,
+    whose x * M is M.
     """
 
     index_at: np.ndarray    # per bin: 1 + the number of breakpoints below the bin
     breakpoint: np.ndarray  # per bin: the first breakpoint at or above it, or inf
     levels: np.ndarray      # the levels, the top one repeated for +inf and NaN
 
+    @property
+    def bins(self) -> int:
+        return self.breakpoint.size - 1
+
 
 def _breakpoints(levels: np.ndarray) -> np.ndarray:
     """For each level after the first, the smallest float that the binary
-    search snaps to it, found by bisection between it and the level below."""
-    # non-negative floats order as their bit patterns; + 0.0 turns -0.0 into 0.0
-    below = (levels[:-1] + 0.0).view(np.int64)  # snapped below the level
-    at = np.array(levels[1:]).view(np.int64)  # snapped to the level
-    while np.any(at - below > 1):
-        mid = below + (at - below) // 2
-        up = _snap_deterministic(mid.view(np.float64), levels) == levels[1:]
-        at = np.where(up, mid, at)
-        below = np.where(up, below, mid)
-    return at.view(np.float64)
+    search snaps to it. It lies within a few floats of the midpoint between
+    the level and the one below, so it is found by stepping from there."""
+    lo, hi = levels[:-1], levels[1:]
+    at = lo + (hi - lo) / 2
+    up = _snap_deterministic(at, levels) == hi
+    while not up.all():  # up to the first float snapped to the level
+        at = np.where(up, at, np.nextafter(at, np.inf))
+        up = _snap_deterministic(at, levels) == hi
+    while True:  # down while the float below is snapped to it too
+        below = np.nextafter(at, -np.inf)
+        down = _snap_deterministic(below, levels) == hi
+        if not down.any():
+            return at
+        at = np.where(down, below, at)
 
 
 def _snap_table(levels: np.ndarray) -> _SnapTable | None:
@@ -265,7 +278,8 @@ def _snap_table(levels: np.ndarray) -> _SnapTable | None:
     bins = 1
     while bins <= MAX_SNAP_BINS:
         if np.all(np.diff(_bin_index(breakpoints, bins)) > 0):
-            below = np.searchsorted(breakpoints, np.arange(bins) / bins, side="left")
+            edges = np.append(np.arange(bins) / bins, (bins - 1) / bins)
+            below = np.searchsorted(breakpoints, edges, side="left")
             table = _SnapTable(below + 1, np.append(breakpoints, np.inf)[below],
                                np.append(levels, levels[-1]))
             for array in table:
@@ -275,26 +289,44 @@ def _snap_table(levels: np.ndarray) -> _SnapTable | None:
     return None
 
 
-def _snap_by_table(x: np.ndarray, table: _SnapTable) -> np.ndarray:
+def _snap_by_table(x: np.ndarray, table: _SnapTable, values: np.ndarray | None = None,
+                   scale: float = 1.0) -> np.ndarray:
     """`_snap_deterministic` through its table: the same bits, and the same
-    C-order result."""
+    C-order result.
+
+    Given `values`, the array that x = min(|values| / scale, 1) was computed
+    from, it returns np.sign(values) * snapped * scale instead, each element
+    written once as np.sign(value) * (level * scale): the same bits, as
+    multiplying by +-1, +-0 or NaN is exact. The result has the layout that
+    numpy gives that product: C order below 256 KiB, and from there the
+    order of x, as numpy computes it in place in the np.sign temporary.
+    """
     if np.ndim(x) == 0:
         return _snap_by_table(np.reshape(x, 1), table).reshape(())
     x = np.asarray(x)
-    out = np.empty(x.shape)
+    signed = values is not None
+    out = np.empty_like(x) if signed and x.nbytes >= 1 << 18 else np.empty(x.shape)
+    levels = table.levels * scale if signed else table.levels
     if x.flags.f_contiguous and not x.flags.c_contiguous:
         x, view = x.T, out.T  # walk x in its memory order
+        values = values.T if signed else None
     else:
         x, view = np.ascontiguousarray(x), out
-    bins = table.breakpoint.size
+    bins = table.bins
+    # with a finite scale x lies in [0, 1], so x * bins is its bin
+    bounded = signed and math.isfinite(scale)
     # in blocks of rows, so that the temporaries stay in cache
     rows = max(1, _SNAP_BLOCK // max(1, x[0].size if len(x) else 1))
     for start in range(0, len(x), rows):
         block = x[start:start + rows]
-        bin_of = _bin_index(block, bins)
+        bin_of = (block * bins).astype(np.intp) if bounded else _bin_index(block, bins)
         index = table.index_at[bin_of]
         index -= block < table.breakpoint[bin_of]
-        view[start:start + rows] = table.levels[index]
+        if signed:
+            np.multiply(np.sign(values[start:start + rows]), levels[index],
+                        out=view[start:start + rows])
+        else:
+            view[start:start + rows] = levels[index]
     return out
 
 
@@ -367,11 +399,12 @@ def quantize(values, spec: QuantizerSpec, lut: LookupTable | None = None,
     normalized = np.divide(magnitudes, scale, out=magnitudes)
     np.minimum(normalized, 1.0, out=normalized)
 
-    table = None
     if spec.mode == "lut":
         if lut is None:
             raise ValueError("lut mode requires a LookupTable")
         levels, table = lut.unique_levels, lut.snap_table
+        if table is not None and spec.rounding == "deterministic":
+            return _snap_by_table(normalized, table, values, scale)
     else:  # percentile
         n_levels = 2 ** spec.bits if values.min() >= 0 else 2 ** (spec.bits - 1)
         if n_levels < 2:
@@ -384,7 +417,7 @@ def quantize(values, spec: QuantizerSpec, lut: LookupTable | None = None,
     # the product walks both operands in one order.
     transpose = (spec.rounding == "deterministic" and normalized.nbytes >= 1 << 18
                  and normalized.flags.f_contiguous and not normalized.flags.c_contiguous)
-    snapped = _snap(normalized.T if transpose else normalized, levels, spec.rounding, rng, table)
+    snapped = _snap(normalized.T if transpose else normalized, levels, spec.rounding, rng)
     if transpose:
         snapped = snapped.T
     del normalized, magnitudes
@@ -466,11 +499,15 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not all(0 <= p < math.inf for p in (self.systematic_percent_ff,
-                                                self.systematic_percent_attn)):
+        percents = (self.systematic_percent_ff, self.systematic_percent_attn)
+        # bool is an int subclass: true would read as 1
+        if any(isinstance(p, bool) or not 0 <= p < math.inf for p in percents):
             raise ValueError("systematic percentages must be finite and >= 0")
-        if not self.photons_per_mac > 0:
+        if isinstance(self.photons_per_mac, bool) or not self.photons_per_mac > 0:
             raise ValueError(f"photons_per_mac must be > 0 or inf, got {self.photons_per_mac}")
+        if (isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer))
+                or self.seed < 0):
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
     def to_json(self) -> str:
         data = asdict(self)

@@ -2,8 +2,10 @@
 import argparse
 import contextlib
 import csv
+import ctypes
 import dataclasses
 import enum
+import functools
 import io
 import json
 import math
@@ -326,6 +328,74 @@ def test_sweep_rejects_empty_grid(tmp_path, capsys):
 
 
 # --------------------------------------------------------------------------
+# allocator thresholds
+
+
+@pytest.fixture
+def fresh_allocator_helper(monkeypatch):
+    """cli._keep_freed_pages as in a new process, not run yet, and a C
+    library whose mallopt records its calls: the list returned."""
+    calls = []
+
+    class Libc:
+        def mallopt(self, param, value):
+            calls.append((param, value))
+            return 1
+
+    cdll = ctypes.CDLL
+    monkeypatch.setattr(ctypes, "CDLL", lambda name, *a, **k: Libc() if name is None
+                        else cdll(name, *a, **k))
+    monkeypatch.setattr(photonsim.cli, "_keep_freed_pages",
+                        functools.cache(photonsim.cli._keep_freed_pages.__wrapped__))
+    return calls
+
+
+def test_only_simulate_and_sweep_raise_the_allocator_thresholds(tmp_path, fresh_allocator_helper):
+    config = write_tiny_config(tmp_path)
+    for argv in (["energy", "--all"], ["chunking", "--all"], ["requirements", "--all"],
+                 ["catalogue"], ["simulate", "--config", config, "--photons", "0"]):
+        main(argv + ["--out", str(tmp_path / "cost")])
+    assert fresh_allocator_helper == []  # nor a simulate that fails on its flags
+    thresholds = [(-3, 32 << 20), (-1, 64 << 20)]  # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
+    for argv in (["simulate", "--config", config, "--photons", "1000"],
+                 ["sweep", "--config", config, "--ff-grid", "0,1", "--attn-grid", "0,1"],
+                 ["simulate", "--config", config]):
+        assert main(argv + ["--out", str(tmp_path / "sim")]) == 0
+        assert fresh_allocator_helper == thresholds  # once per process
+
+
+def _simulation_files(tmp_path, name, lut_path):
+    config = write_tiny_config(tmp_path)
+    files = {}
+    for argv in (["simulate", "--photons", "1000", "--ff-noise", "1", "--input-lut", lut_path],
+                 ["sweep", "--ff-grid", "0,1", "--attn-grid", "0,2", "--seeds", "3,4",
+                  "--weight-lut", lut_path]):
+        out = tmp_path / name / argv[0]
+        assert main(argv + ["--config", config, "--out", str(out)]) == 0
+        files.update({(argv[0], p.name): p.read_bytes() for p in out.iterdir()})
+    return files
+
+
+@pytest.mark.parametrize("error", [AttributeError, OSError])
+def test_simulation_without_mallopt_writes_the_same_bytes(tmp_path, monkeypatch, error):
+    lut_path = str(tmp_path / "lut.csv")
+    save_lut(lut_path, lut_synthesize(16, 32, floor=0.01))
+    photonsim.cli._keep_freed_pages()
+    want = _simulation_files(tmp_path, "with", lut_path)
+    looked_up = []
+
+    def cdll(name, *args, **kwargs):
+        looked_up.append(name)
+        raise error("mallopt")
+
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    monkeypatch.setattr(photonsim.cli, "_keep_freed_pages",
+                        functools.cache(photonsim.cli._keep_freed_pages.__wrapped__))
+    assert _simulation_files(tmp_path, "without", lut_path) == want
+    assert None in looked_up
+
+
+# --------------------------------------------------------------------------
 # catalogue
 
 
@@ -568,6 +638,8 @@ def test_float64_overflow_is_over_limit(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize("failing_share", [0, 1], ids=["parent", "child"])
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),  # Linux only: no forked sweep
+                    reason="no os.sched_getaffinity: sweeps stay serial")
 def test_parallel_sweep_overflow_is_one_error(tmp_path, capsys, monkeypatch, request,
                                              failing_share):
     # the cells run in this process and a forked child; the 1e150 cell fails in one of them

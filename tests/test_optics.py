@@ -230,6 +230,10 @@ def _assert_same_snap(got, want):
 @given(points=st.lists(st.floats(0.0, 1.0), max_size=40),
        close=st.lists(st.floats(0.0, 1.0), max_size=3),
        extra=st.lists(st.floats(-0.5, 1.5), max_size=20))
+@example(points=[0.0, 5e-324, 1e-310, 2.2250738585072014e-308], close=[], extra=[5e-324])
+@example(points=[0.5, float(np.nextafter(0.5, 1.0)), 0.25, float(np.nextafter(0.25, 0.0))],
+         close=[], extra=[])
+@example(points=[0.0, 5e-324, 0.75], close=[], extra=[5e-324, 1e-323])
 def test_binned_snap_matches_binary_search(points, close, extra):
     # `close` adds runs of three levels one ulp apart, whose two breakpoints
     # no table of at most MAX_SNAP_BINS bins separates: those LUTs fall back
@@ -246,7 +250,7 @@ def test_binned_snap_matches_binary_search(points, close, extra):
     if table is None:
         assert np.diff(breakpoints).min() < 1.0 / MAX_SNAP_BINS
         return
-    bins = table.breakpoint.size
+    bins = table.bins
     assert bins & (bins - 1) == 0 and bins <= MAX_SNAP_BINS
     x = _snap_inputs(levels, breakpoints, bins, extra)
     _assert_same_snap(_snap_by_table(x, table), _snap_deterministic(x, levels))
@@ -614,6 +618,27 @@ def test_noise_spec_rejects_non_finite_percent(field, value):
         NoiseSpec(**{field: value})
 
 
+@pytest.mark.parametrize("fields, match", [
+    ({"photons_per_mac": True}, "photons_per_mac"),
+    ({"systematic_percent_ff": True}, "percentages"),
+    ({"systematic_percent_attn": False}, "percentages"),
+    ({"photons_per_mac": True, "systematic_percent_ff": True, "seed": 2.5}, "percentages"),
+    ({"photons_per_mac": 10, "seed": 2.5}, "seed"),
+    ({"seed": True}, "seed"),
+    ({"seed": -1}, "seed"),
+    ({"seed": "3"}, "seed"),
+], ids=["bool-photons", "bool-ff", "bool-attn", "all-three", "float-seed", "bool-seed",
+        "negative-seed", "str-seed"])
+def test_noise_spec_checks_types(fields, match):
+    # bool is an int subclass, and a float seed used to reach SeedSequence
+    with pytest.raises(ValueError, match=match):
+        NoiseSpec(**fields)
+    with pytest.raises(ValueError, match=match):
+        NoiseSpec.from_json(fields)
+    assert NoiseSpec(photons_per_mac=10, seed=np.int64(3)).seed == 3
+    assert NoiseSpec.from_json({"photons_per_mac": 10, "seed": 2 ** 64}).seed == 2 ** 64
+
+
 # --------------------------------------------------------------------------
 # full optical product
 
@@ -734,6 +759,72 @@ def test_optical_matmul_below_threshold_is_the_poisson_path(photons, percent, lu
         w, x = lut_snap(w, w_lut), lut_snap(x, in_lut)
     want = apply_systematic_noise(_four_pass_poisson(w, x, photons, want_rng), percent,
                                   seed=want_rng)
+    assert got.tobytes() == want.tobytes() and got.strides == want.strides
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def _lut_snap_plain(v, lut):
+    """lut_snap written plainly: np.sign(v) * snap * scale, C order below
+    256 KiB and in v's order from there."""
+    magnitudes = np.abs(v)
+    scale = magnitudes.max()
+    out = np.sign(v) * _snap_reference(np.minimum(magnitudes / scale, 1.0), lut.unique_levels)
+    out = out * scale
+    return out if out.nbytes >= 1 << 18 else np.ascontiguousarray(out)
+
+
+def _gaussian_plain(w, x, photons_per_mac, rng):
+    """optical_matmul's Gaussian shot noise written plainly: the variance
+    [|W| W] @ right, with [|W| W] in w's order, then one standard normal per
+    output."""
+    (m, k), p = w.shape, x.shape[1]
+    x_pos, x_neg = np.where(x > 0, x, 0.0), np.where(x < 0, -x, 0.0)
+    left = np.concatenate([np.abs(w), w], axis=1)
+    if w.flags.f_contiguous and not w.flags.c_contiguous:
+        left = np.asfortranarray(left)
+    col_abs, col_signed = left[:, :k].sum(axis=0), left[:, k:].sum(axis=0)
+    col_pos, col_neg = (col_abs + col_signed) / 2, (col_abs - col_signed) / 2
+    row_pos, row_neg = x_pos.sum(axis=1), x_neg.sum(axis=1)
+    photons = m * p * photons_per_mac * k
+    c1, c2 = col_pos @ row_pos / photons, col_neg @ row_pos / photons
+    c3, c4 = col_pos @ row_neg / photons, col_neg @ row_neg / photons
+    right = np.concatenate([x_pos * ((c1 + c2) / 2) + ((c3 + c4) / 2) * x_neg,
+                            x_pos * ((c1 - c2) / 2) + ((c3 - c4) / 2) * x_neg])
+    noise = np.sqrt(np.maximum(left @ right, 0.0)) * rng.standard_normal((m, p))
+    return w @ x + noise
+
+
+@pytest.mark.parametrize("luts", [False, True], ids=["no-lut", "luts"])
+@pytest.mark.parametrize("percent", [0.0, 2.0])
+@pytest.mark.parametrize("kind", ["ff", "attn"])
+@pytest.mark.parametrize("shape", [(24, 40, 16), (256, 160, 192)], ids=["small", "large"])
+def test_optical_matmul_gaussian_path_matches_plain_formulas(luts, percent, kind, shape):
+    # 256x160 float64 is 320 KiB, past numpy's in-place threshold
+    m, k, p = shape
+    assert 1000.0 * k >= GAUSSIAN_SHOT_PHOTONS
+    rng = derive_rng(33, k)
+    w = rng.normal(size=(k, m)).T  # F order, as the backend hands operands over
+    x = rng.normal(size=(p, k)).T
+    w[0] = 0.0
+    x[:, 0] = -0.0
+    in_lut = lut_synthesize(32, 256, floor=0.004) if luts else None
+    w_lut = lut_synthesize(128, 256, floor=0.0) if luts else None
+    noise = NoiseSpec(systematic_percent_ff=percent, systematic_percent_attn=percent / 2,
+                      photons_per_mac=1000.0)
+    got_rng, want_rng = derive_rng(34, k), derive_rng(34, k)
+    got = optical_matmul(w, x, noise, input_lut=in_lut, weight_lut=w_lut, seed=got_rng,
+                         kind=kind)
+    if luts:
+        snapped = [(v, lut, _lut_snap_plain(v, lut))
+                   for v, lut in ((w, in_lut if kind == "attn" else w_lut), (x, in_lut))]
+        for v, lut, plain in snapped:
+            _assert_same_snap(lut_snap(v, lut), plain)
+        (_, _, w), (_, _, x) = snapped
+    want = _gaussian_plain(w, x, 1000.0, want_rng)
+    percent = percent / 2 if kind == "attn" else percent
+    if percent:
+        sigma = percent / 100 * np.abs(want).mean()
+        want = want + (sigma * want_rng.standard_normal(want.shape) + 0.0)
     assert got.tobytes() == want.tobytes() and got.strides == want.strides
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
 

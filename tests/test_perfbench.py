@@ -20,6 +20,8 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 @pytest.mark.parametrize("workload", ["sweep_weight_lut", "simulate_shot_lut",
                                       "energy_catalogue"])
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),  # Linux only
+                    reason="perfbench/run.py sizes BLAS threads with os.sched_getaffinity")
 def test_traced_round(workload):
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run(

@@ -15,12 +15,19 @@ from photonsim import (DigitalBackend, ModelConfig, NoiseSpec, OpticalBackend,
                        init_weights, load_trace, lut_synthesize, make_input, noise_sweep,
                        save_trace, trace_to_json_dict)
 from photonsim.arch import PRODUCT_CLASSES, WEIGHT_MATRICES
+import photonsim.cli
 import photonsim.txsim
 from photonsim.txsim import _layernorm, _relu6, _softmax
 
 DATA = pathlib.Path(__file__).parent / "data"
 
 TINY = ModelConfig("tiny", n=4, d=8, h=2, L=2)
+
+
+# the forked sweep needs os.sched_getaffinity, which only Linux has: elsewhere
+# a sweep runs in one process, and these tests of how it forks do not apply
+forked_sweep = pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
+                                  reason="no os.sched_getaffinity: sweeps stay serial")
 
 
 # --------------------------------------------------------------------------
@@ -376,8 +383,10 @@ def _sweep_on(monkeypatch, cores, *args, **kwargs):
                                                 ([0.0, 1.0, 5.0], [0.0, 2.0]),
                                                 ([0.0, 1.0, 2.0, 5.0], [0.0, 1.0, 2.0, 5.0])],
                          ids=["2x2", "3x2", "4x4"])
+@forked_sweep
 def test_parallel_sweep_is_bit_identical(monkeypatch, photons, with_input_lut, seeds,
                                          ff_grid, attn_grid):
+    photonsim.cli._keep_freed_pages()  # as `sweep` runs them; the forked workers inherit it
     cfg = ModelConfig("t", n=8, d=16, h=2, L=2)
     wts = init_weights(cfg, 3)
     x = make_input(cfg, 3)
@@ -391,6 +400,7 @@ def test_parallel_sweep_is_bit_identical(monkeypatch, photons, with_input_lut, s
     assert parallel.tobytes() == serial.tobytes()
 
 
+@forked_sweep
 def test_sweep_cells_run_with_openblas_at_one_thread(monkeypatch, request):
     # each process has a core to itself; the caller's count comes back after
     blas = photonsim.txsim._openblas_threads()
@@ -410,6 +420,7 @@ def test_sweep_cells_run_with_openblas_at_one_thread(monkeypatch, request):
 
 @pytest.mark.parametrize("ff_grid, forks", [([0.0, 1.0, 2.0], 0), ([0.0, 1.0, 2.0, 5.0], 1)],
                          ids=["3_cells_serial", "4_cells_forked"])
+@forked_sweep
 def test_sweep_forks_only_where_its_cells_pay_for_a_worker(monkeypatch, ff_grid, forks):
     # at n=d=128, h=8 a pass computes 294,912 outputs and ff noise adds
     # 147,456: 3 cells cost 1.18M outputs, short of the two shares of 0.75M
@@ -431,6 +442,7 @@ def test_sweep_forks_only_where_its_cells_pay_for_a_worker(monkeypatch, ff_grid,
     assert surfaces.tobytes() == reference.tobytes()
 
 
+@forked_sweep
 def test_sweep_workers_are_bounded_by_cores_cells_cost_and_free_memory(monkeypatch):
     cfg = ModelConfig("t", n=16, d=16, h=2, L=1)
     worker_bytes = 48 * (9 * 16 * 16 + 3 * 16 * 16)  # per output of one layer
@@ -462,6 +474,7 @@ def test_openblas_threads_without_numpys_extension_module(monkeypatch):
     assert photonsim.txsim._openblas_threads() is None
 
 
+@forked_sweep
 def test_sweep_beside_another_thread_stays_in_one_process(monkeypatch):
     # a fork could leave the other thread's locks held in the child
     import threading
@@ -493,6 +506,7 @@ def test_sweep_cells_are_dealt_by_their_noise():
 
 
 @pytest.mark.parametrize("replaced", ["forward", "matmul"])
+@forked_sweep
 def test_instrumented_sweep_stays_in_one_process(monkeypatch, replaced):
     # an instrumented run must see the forward pass of every cell
     cfg = ModelConfig("t", n=8, d=16, h=2, L=1)
@@ -530,6 +544,7 @@ def test_instrumented_sweep_stays_in_one_process(monkeypatch, replaced):
 
 
 @pytest.mark.parametrize("lost", ["fork_fails", "child_dies"])
+@forked_sweep
 def test_sweep_share_no_child_delivers_is_computed_here(monkeypatch, lost):
     cfg = ModelConfig("t", n=8, d=16, h=2, L=1)
     wts = init_weights(cfg, 3)
