@@ -638,7 +638,7 @@ def test_float64_overflow_is_over_limit(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize("failing_share", [0, 1], ids=["parent", "child"])
-@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),  # Linux only: no forked sweep
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),  # the forked sweep needs it
                     reason="no os.sched_getaffinity: sweeps stay serial")
 def test_parallel_sweep_overflow_is_one_error(tmp_path, capsys, monkeypatch, request,
                                              failing_share):
