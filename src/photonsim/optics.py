@@ -37,7 +37,8 @@ GAUSSIAN_SHOT_PHOTONS = 1000.0
 # search.
 MAX_SNAP_BINS = 1 << 16
 
-# Elements per block of a table snap: 256 KiB per float temporary, so that a
+# Elements per block of a table snap, whose operand x = min(|v| / scale, 1)
+# lies in [0, 1] at a finite scale: 256 KiB per float temporary, so that a
 # block's temporaries stay in cache. Under glibc's default mmap threshold of
 # 128 KiB each such temporary is a fresh mapping, whose pages fault in anew
 # on every block; `simulate` and `sweep` raise the threshold
@@ -45,14 +46,22 @@ MAX_SNAP_BINS = 1 << 16
 _SNAP_BLOCK = 1 << 15
 
 
+def _seed_sequence(seed: int, keys: tuple) -> np.random.SeedSequence:
+    entropy = (seed, *keys)
+    for value in entropy:  # int() would truncate a float; bool is an int subclass
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"seeds and keys must be integers, got {value!r}")
+    return np.random.SeedSequence([int(value) for value in entropy])
+
+
 def derive_seed(seed: int, *keys: int) -> int:
     """Stable 64-bit child seed for (seed, op-counter...) derivation."""
-    state = np.random.SeedSequence([int(seed), *[int(k) for k in keys]]).generate_state(2)
+    state = _seed_sequence(seed, keys).generate_state(2)
     return int(state[0]) << 32 | int(state[1])
 
 
 def derive_rng(seed: int, *keys: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([int(seed), *[int(k) for k in keys]]))
+    return np.random.default_rng(_seed_sequence(seed, keys))
 
 
 def _as_rng(seed) -> np.random.Generator:
@@ -212,41 +221,35 @@ class EmaState:
             self.hi = gamma * self.hi + (1 - gamma) * batch_hi
 
 
-def _bin_index(x: np.ndarray, bins: int) -> np.ndarray:
-    """Bin of each value among `bins` uniform bins over [0, 1]. Values below 0
-    fall in the first bin; values above 1, +inf and NaN in the last."""
-    with np.errstate(over="ignore"):  # past 1 is the last bin, inf included
-        index = np.multiply(x, bins)  # exact: bins is a power of two
-    np.fmin(index, bins - 1, out=index)  # fmin, unlike minimum, maps NaN to bins - 1
-    np.fmax(index, 0, out=index)
-    return index.astype(np.intp)
+def _bracket(x: np.ndarray, levels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For each x, the index of the upper of the two levels around it, and
+    those two levels, lower then upper."""
+    hi_idx = np.clip(np.searchsorted(levels, x, side="left"), 1, levels.size - 1)
+    return hi_idx, levels[hi_idx - 1], levels[hi_idx]
 
 
 def _snap_deterministic(x: np.ndarray, levels: np.ndarray) -> np.ndarray:
     """Nearest level; exact ties go to the even level index."""
-    hi_idx = np.clip(np.searchsorted(levels, x, side="left"), 1, levels.size - 1)
-    lo, hi = levels[hi_idx - 1], levels[hi_idx]
+    hi_idx, lo, hi = _bracket(x, levels)
     d_lo, d_hi = x - lo, hi - x
     # an odd hi index means an even lo index
     return np.where((d_lo < d_hi) | ((d_lo == d_hi) & (hi_idx % 2 == 1)), lo, hi)
 
 
 class _SnapTable(NamedTuple):
-    """`_snap_deterministic` of some levels as a table lookup.
+    """`_snap_deterministic` of some levels, for x in [0, 1], as a table lookup.
 
     That snap is monotone in x, so each level after the first is the result
     from its breakpoint, the smallest float snapped to it, up to the next
     breakpoint: the result is levels[number of breakpoints <= x]. With M =
-    2^k uniform bins over [0, 1] that put no two breakpoints in one bin, that
-    number is `index_at[b] - (x < breakpoint[b])` for x in bin b. NaN, which
-    compares false, gets the top level, as the binary search gives it. The
-    per-bin arrays have one entry more, a copy of bin M - 1, for x = 1.0,
-    whose x * M is M.
+    2^k uniform bins over [0, 1] that put no two breakpoints in one bin, x
+    lies in bin (x * M).astype(int), and that number is `index_at[b] - (x <
+    breakpoint[b])` for x in bin b. The per-bin arrays have one entry more, a
+    copy of bin M - 1, for x = 1.0, whose x * M is M.
     """
 
     index_at: np.ndarray    # per bin: 1 + the number of breakpoints below the bin
     breakpoint: np.ndarray  # per bin: the first breakpoint at or above it, or inf
-    levels: np.ndarray      # the levels, the top one repeated for +inf and NaN
 
     @property
     def bins(self) -> int:
@@ -277,11 +280,11 @@ def _snap_table(levels: np.ndarray) -> _SnapTable | None:
     breakpoints = _breakpoints(levels)
     bins = 1
     while bins <= MAX_SNAP_BINS:
-        if np.all(np.diff(_bin_index(breakpoints, bins)) > 0):
+        # breakpoints lie in (0, 1]: only 1.0 needs the clamp to the last bin
+        if np.all(np.diff(np.minimum(breakpoints * bins, bins - 1).astype(np.intp)) > 0):
             edges = np.append(np.arange(bins) / bins, (bins - 1) / bins)
             below = np.searchsorted(breakpoints, edges, side="left")
-            table = _SnapTable(below + 1, np.append(breakpoints, np.inf)[below],
-                               np.append(levels, levels[-1]))
+            table = _SnapTable(below + 1, np.append(breakpoints, np.inf)[below])
             for array in table:
                 array.flags.writeable = False
             return table
@@ -289,52 +292,39 @@ def _snap_table(levels: np.ndarray) -> _SnapTable | None:
     return None
 
 
-def _snap_by_table(x: np.ndarray, table: _SnapTable, values: np.ndarray | None = None,
-                   scale: float = 1.0) -> np.ndarray:
-    """`_snap_deterministic` through its table: the same bits, and the same
-    C-order result.
+def _snap_by_table(x: np.ndarray, table: _SnapTable, levels: np.ndarray,
+                   values: np.ndarray, scale: float) -> np.ndarray:
+    """np.sign(values) * _snap_deterministic(x, levels) * scale through the
+    `_SnapTable` of `levels`, for x = min(|values| / scale, 1) at a finite
+    scale, which puts x in [0, 1].
 
-    Given `values`, the array that x = min(|values| / scale, 1) was computed
-    from, it returns np.sign(values) * snapped * scale instead, each element
-    written once as np.sign(value) * (level * scale): the same bits, as
-    multiplying by +-1, +-0 or NaN is exact. The result has the layout that
-    numpy gives that product: C order below 256 KiB, and from there the
-    order of x, as numpy computes it in place in the np.sign temporary.
+    Each element is written once, as np.sign(value) * (level * scale): the
+    same bits, as multiplying by +-1 or +-0 is exact. The result has the
+    layout that numpy gives that product: C order below 256 KiB, and from
+    there the order of x, as numpy computes it in place in the np.sign
+    temporary.
     """
-    if np.ndim(x) == 0:
-        return _snap_by_table(np.reshape(x, 1), table).reshape(())
-    x = np.asarray(x)
-    signed = values is not None
-    out = np.empty_like(x) if signed and x.nbytes >= 1 << 18 else np.empty(x.shape)
-    levels = table.levels * scale if signed else table.levels
+    out = np.empty_like(x) if x.nbytes >= 1 << 18 else np.empty(x.shape)
     if x.flags.f_contiguous and not x.flags.c_contiguous:
-        x, view = x.T, out.T  # walk x in its memory order
-        values = values.T if signed else None
+        x, view, values = x.T, out.T, values.T  # walk x in its memory order
     else:
         x, view = np.ascontiguousarray(x), out
-    bins = table.bins
-    # with a finite scale x lies in [0, 1], so x * bins is its bin
-    bounded = signed and math.isfinite(scale)
+    levels, bins = levels * scale, table.bins
     # in blocks of rows, so that the temporaries stay in cache
-    rows = max(1, _SNAP_BLOCK // max(1, x[0].size if len(x) else 1))
+    rows = max(1, _SNAP_BLOCK // x[0].size)
     for start in range(0, len(x), rows):
         block = x[start:start + rows]
-        bin_of = (block * bins).astype(np.intp) if bounded else _bin_index(block, bins)
+        bin_of = (block * bins).astype(np.intp)
         index = table.index_at[bin_of]
         index -= block < table.breakpoint[bin_of]
-        if signed:
-            np.multiply(np.sign(values[start:start + rows]), levels[index],
-                        out=view[start:start + rows])
-        else:
-            view[start:start + rows] = levels[index]
+        np.multiply(np.sign(values[start:start + rows]), levels[index],
+                    out=view[start:start + rows])
     return out
 
 
 def _snap_stochastic(x: np.ndarray, levels: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Bracketing levels chosen with probability proportional to proximity."""
-    hi_idx = np.clip(np.searchsorted(levels, x, side="left"), 1, levels.size - 1)
-    lo_idx = hi_idx - 1
-    lo, hi = levels[lo_idx], levels[hi_idx]
+    _, lo, hi = _bracket(x, levels)
     width = hi - lo
     with np.errstate(divide="ignore", invalid="ignore"):
         p_up = np.where(width > 0, (x - lo) / np.where(width > 0, width, 1.0), 0.0)
@@ -342,13 +332,9 @@ def _snap_stochastic(x: np.ndarray, levels: np.ndarray, rng: np.random.Generator
     return np.where(rng.random(x.shape) < p_up, hi, lo)
 
 
-def _snap(x, levels, rounding, rng, table=None):
-    """Snap x to levels; `table`, the `_SnapTable` of the levels, snaps
-    deterministically by lookup."""
+def _snap(x, levels, rounding, rng):
     if rounding == "stochastic":
         return _snap_stochastic(x, levels, rng)
-    if table is not None:
-        return _snap_by_table(x, table)
     return _snap_deterministic(x, levels)
 
 
@@ -403,23 +389,15 @@ def quantize(values, spec: QuantizerSpec, lut: LookupTable | None = None,
         if lut is None:
             raise ValueError("lut mode requires a LookupTable")
         levels, table = lut.unique_levels, lut.snap_table
-        if table is not None and spec.rounding == "deterministic":
-            return _snap_by_table(normalized, table, values, scale)
+        if table is not None and spec.rounding == "deterministic" and math.isfinite(scale):
+            return _snap_by_table(normalized, table, levels, values, scale)
     else:  # percentile
         n_levels = 2 ** spec.bits if values.min() >= 0 else 2 ** (spec.bits - 1)
         if n_levels < 2:
             n_levels = 2
         levels = np.linspace(0.0, 1.0, n_levels)
 
-    # From 256 KiB on, numpy evaluates the product below in place in the
-    # np.sign temporary, which has the layout of `values`. A deterministic
-    # snap of an F-ordered operand that large runs on its transpose, so that
-    # the product walks both operands in one order.
-    transpose = (spec.rounding == "deterministic" and normalized.nbytes >= 1 << 18
-                 and normalized.flags.f_contiguous and not normalized.flags.c_contiguous)
-    snapped = _snap(normalized.T if transpose else normalized, levels, spec.rounding, rng)
-    if transpose:
-        snapped = snapped.T
+    snapped = _snap(normalized, levels, spec.rounding, rng)
     del normalized, magnitudes
     # out of place: numpy picks the layout from both operands, and the bits of
     # the matmuls downstream can depend on that layout

@@ -11,7 +11,7 @@ from photonsim import (EmaState, LookupTable, NoiseSpec, QuantizerSpec, apply_sh
                        four_pass_decompose, load_lut, lut_synthesize, optical_matmul,
                        quantize, recombine, save_lut)
 from photonsim.optics import (GAUSSIAN_SHOT_PHOTONS, MAX_SNAP_BINS, _breakpoints,
-                              _snap_by_table, _snap_deterministic, lut_snap)
+                              _snap_deterministic, lut_snap)
 
 
 # --------------------------------------------------------------------------
@@ -252,17 +252,19 @@ def test_binned_snap_matches_binary_search(points, close, extra):
         return
     bins = table.bins
     assert bins & (bins - 1) == 0 and bins <= MAX_SNAP_BINS
+    # the probes in [0, 1] with alternating signs: the largest magnitude is
+    # the top level, 1.0, so lut_snap's scale is 1 and its table snaps |v|
     x = _snap_inputs(levels, breakpoints, bins, extra)
-    _assert_same_snap(_snap_by_table(x, table), _snap_deterministic(x, levels))
-    assert _snap_by_table(x, table).tobytes() == _snap_reference(x, levels).tobytes()
-    square = x[: (x.size // 6) * 6].reshape(6, -1)
+    x = x[(x >= 0.0) & (x <= 1.0)]
+    values = np.where(np.arange(x.size) % 2 == 1, -x, x)
+    assert np.abs(values).max() == 1.0
+    got = lut_snap(values, lut)
+    assert got.tobytes() == (np.sign(values) * _snap_deterministic(x, levels)).tobytes()
+    _assert_same_snap(got, _lut_snap_plain(values, lut))
+    square = values[: (values.size // 6) * 6].reshape(6, -1)
+    square.flat[0] = 1.0
     for layout in (square, np.asfortranarray(square), square[:, ::2], square.T):
-        _assert_same_snap(_snap_by_table(layout, table),
-                          _snap_deterministic(layout, levels))
-    for value in (x[0], x[-1], np.float64(np.nan), np.float64(-np.inf)):
-        got = _snap_by_table(value, table)
-        _assert_same_snap(got, _snap_deterministic(value, levels))
-        assert got.shape == ()
+        _assert_same_snap(lut_snap(layout, lut), _lut_snap_plain(layout, lut))
 
 
 @pytest.mark.parametrize("lut,has_table", [
@@ -277,9 +279,13 @@ def test_quantize_lut_matches_binary_search(lut, has_table):
     spec = QuantizerSpec(mode="lut")
     assert (lut.snap_table is not None) == has_table
     rng = derive_rng(21)
+    # 256x160 float64 is 320 KiB: numpy then writes the sign product in place
+    large = [rng.normal(size=(256, 160)) for _ in range(3)]
+    large[1][0, :2], large[2][5, 7] = (np.inf, -np.inf), np.nan
     for values in (rng.normal(size=(40, 30)), rng.normal(size=(30, 40)).T,
                    rng.normal(size=(40, 60))[:, ::2], np.array([[0.0, -0.0, 1e-300, -2.0]]),
-                   np.array([[1.0, np.inf, -1.0]]), np.array([[np.nan, 1.0]])):
+                   np.array([[1.0, np.inf, -1.0]]), np.array([[np.nan, 1.0]]),
+                   *large, *map(np.asfortranarray, large)):
         magnitudes = np.abs(values)
         scale = magnitudes.max()
         with np.errstate(invalid="ignore"):  # inf / inf and NaN
@@ -302,10 +308,10 @@ def _quantize_in_given_order(values, spec, lut=None, rng=None):
         return _quantize_in_given_order(values.reshape(1), spec, lut, rng)[0]
     normalized = np.minimum(np.divide(magnitudes, scale, out=magnitudes), 1.0, out=magnitudes)
     if spec.mode == "lut":
-        levels, table = lut.unique_levels, lut.snap_table
+        levels = lut.unique_levels
     else:
-        levels, table = np.linspace(0.0, 1.0, max(2, 2 ** (spec.bits - (values.min() < 0)))), None
-    out = np.sign(values) * photonsim.optics._snap(normalized, levels, spec.rounding, rng, table)
+        levels = np.linspace(0.0, 1.0, max(2, 2 ** (spec.bits - (values.min() < 0))))
+    out = np.sign(values) * photonsim.optics._snap(normalized, levels, spec.rounding, rng)
     out *= scale
     return out
 

@@ -82,6 +82,22 @@ def test_make_input_shape_and_scale():
     assert np.array_equal(x, make_input(TINY, 3))
 
 
+@pytest.mark.parametrize("bad", [2.5, 1.9, True, np.float64(1.0), "3"],
+                         ids=["float", "float-near-2", "bool", "numpy-float", "str"])
+def test_seeds_and_keys_must_be_integers(bad):
+    # int() would truncate them: 2.5 drew the weights of seed 2, and True the
+    # input of seed 1
+    wts, x = init_weights(TINY, 0), make_input(TINY, 0)
+    for call in (lambda: init_weights(TINY, bad), lambda: make_input(TINY, bad),
+                 lambda: noise_sweep(TINY, wts, x, [0.0], [0.0], seeds=[bad]),
+                 lambda: derive_seed(bad, 1), lambda: derive_seed(3, bad),
+                 lambda: derive_rng(bad), lambda: derive_rng(3, 1, bad)):
+        with pytest.raises(ValueError, match="must be integers"):
+            call()
+    assert derive_seed(np.uint64(3), np.int32(1)) == derive_seed(3, 1)
+    assert np.array_equal(make_input(TINY, np.int64(3)), make_input(TINY, 3))
+
+
 # --------------------------------------------------------------------------
 # elementwise pieces
 
