@@ -186,33 +186,14 @@ def _matrix_text(a: np.ndarray, depth: int) -> _Pieces:
     return pieces
 
 
-def _array_text(a: np.ndarray, depth: int, seen: dict):
-    """The text of a.tolist(); for a non-empty 2-D float64 array _Pieces.
-    Such an array is formatted once per document: `seen` maps its id to its
-    text, which an occurrence at another depth shifts, as a formatted float
-    holds no newline."""
-    np = sys.modules["numpy"]
-    if type(a) is not np.ndarray or a.dtype != np.float64 or a.ndim != 2 or not a.size:
-        return _encode(a.tolist(), depth, seen)
-    first, first_depth, text = seen.get(id(a), (None, 0, None))
-    if first is not a:
-        first_depth, text = depth, _matrix_text(a, depth)
-        seen[id(a)] = (a, first_depth, text)
-    elif first_depth != depth:
-        old, new = "\n" + _INDENT * first_depth, "\n" + _INDENT * depth
-        text = _Pieces(piece.replace(old, new) for piece in text)
-    return text
-
-
 _SCALARS = {float: _float_text, str: encode_basestring_ascii, int: int.__repr__}
 
 
-def _encode(obj, depth: int, seen: dict):
+def _encode(obj, depth: int):
     """json.dumps(obj, indent=2) at nesting `depth`, with floats at 9
     significant digits and non-finite floats as strings; an ndarray is
     written as its tolist(). One string, or _Pieces where `obj` holds an
-    array's rows. `seen` records the document's formatted arrays
-    (_array_text)."""
+    array's rows."""
     kind = type(obj)
     scalar = _SCALARS.get(kind)  # an exact built-in type first: nearly every value is one
     if scalar is not None:
@@ -229,20 +210,22 @@ def _encode(obj, depth: int, seen: dict):
                 return scalar(obj)
         np = sys.modules.get("numpy")  # no ndarray exists before numpy is imported
         if np is not None and isinstance(obj, np.ndarray):
-            return _array_text(obj, depth, seen)
+            if type(obj) is np.ndarray and obj.dtype == np.float64 and obj.ndim == 2 and obj.size:
+                return _matrix_text(obj, depth)
+            return _encode(obj.tolist(), depth)
         if not isinstance(obj, (list, tuple, dict)):
             raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
     if not isinstance(obj, dict):
         if not obj:
             return "[]"
-        return _block([_encode(v, depth + 1, seen) for v in obj], depth, "[]")
+        return _block([_encode(v, depth + 1) for v in obj], depth, "[]")
     if not obj:
         return "{}"
     items = []
     for key, value in obj.items():
         if not isinstance(key, str):
             raise TypeError(f"keys must be str, not {type(key).__name__}")
-        items.append(encode_basestring_ascii(key) + ": " + _encode(value, depth + 1, seen))
+        items.append(encode_basestring_ascii(key) + ": " + _encode(value, depth + 1))
     return _block(items, depth, "{}")
 
 
@@ -262,7 +245,7 @@ def _atomic_write(path: str, pieces: list[str]) -> None:
 
 
 def write_json(path: str, obj) -> None:
-    text = _encode(obj, 0, {})
+    text = _encode(obj, 0)
     _atomic_write(path, (text if type(text) is _Pieces else [text]) + ["\n"])
 
 

@@ -37,10 +37,6 @@ class CliError(Exception):
         self.err_class = err_class
 
 
-def _usage(message: str) -> CliError:
-    return CliError("usage", message)
-
-
 def _number(name: str, rule: str, valid, cast=float, many: bool = False):
     """The parser of numeric input `name`: a `cast` value passing `valid`, which
     `rule` describes, or with `many` a comma-separated list of them. As an
@@ -51,7 +47,7 @@ def _number(name: str, rule: str, valid, cast=float, many: bool = False):
         except ValueError:
             value = math.nan  # rejected below like any other invalid value
         if not valid(value):
-            raise _usage(f"{label} must be {rule}, got {text}")
+            raise CliError("usage", f"{label} must be {rule}, got {text}")
         return value
 
     def parse(text: str):
@@ -59,7 +55,7 @@ def _number(name: str, rule: str, valid, cast=float, many: bool = False):
             return one(text)
         items = [part.strip() for part in text.split(",") if part.strip()]
         if not items:
-            raise _usage(f"{name} must be a non-empty comma-separated list")
+            raise CliError("usage", f"{name} must be a non-empty comma-separated list")
         return [one(item, f"each {name} value") for item in items]
     return parse
 
@@ -196,8 +192,8 @@ def _resolve_models(args) -> tuple[list[ModelConfig], dict]:
         except KeyError as exc:
             raise CliError("unknown_model", str(exc.args[0]))
         return [config], {"models": [config.name], "catalogue": source}
-    raise _usage("provide --model NAME, --config FILE, or --all" if hasattr(args, "all")
-                 else "provide --model NAME or --config FILE")
+    raise CliError("usage", "provide --model NAME, --config FILE, or --all"
+                   if hasattr(args, "all") else "provide --model NAME or --config FILE")
 
 
 def _pricing_from_args(args) -> tuple[list[ModelConfig], dict, HardwareProfile, PhotonPolicy]:

@@ -64,12 +64,6 @@ def derive_rng(seed: int, *keys: int) -> np.random.Generator:
     return np.random.default_rng(_seed_sequence(seed, keys))
 
 
-def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 # --------------------------------------------------------------------------
 # Lookup tables
 
@@ -356,16 +350,24 @@ def quantize(values, spec: QuantizerSpec, lut: LookupTable | None = None,
       tensors that are entirely non-negative get the full 2^bits levels,
       signed tensors get 2^(bits-1) magnitude levels plus sign.
     - ema mode: affine grid over the (running) min/max range.
+
+    Raises ValueError where the clip scale, or in ema mode the batch's min or
+    max, is not finite (an operand holding inf or NaN), before `state` is
+    updated. Under a clip percentile that leaves the scale finite, +-inf
+    saturates at +-scale.
     """
     values = np.asarray(values, dtype=float)
     if values.size == 0:
         return values.copy()
     if spec.rounding == "stochastic" and rng is None:
         raise ValueError("stochastic rounding requires an rng or seed")
-    rng = _as_rng(rng) if spec.rounding == "stochastic" else None
+    rng = np.random.default_rng(rng) if spec.rounding == "stochastic" else None
 
     if spec.mode == "ema":
         batch_lo, batch_hi = float(values.min()), float(values.max())
+        if not (math.isfinite(batch_lo) and math.isfinite(batch_hi)):
+            raise ValueError(f"cannot quantize a batch whose range [{batch_lo}, {batch_hi}]"
+                             " is not finite")
         if state is not None:
             state.update(batch_lo, batch_hi, spec.ema_gamma)
             lo, hi = state.lo, state.hi
@@ -378,6 +380,8 @@ def quantize(values, spec: QuantizerSpec, lut: LookupTable | None = None,
 
     magnitudes = np.abs(values)
     scale = _clip_scale(magnitudes, spec.clip_percentile)
+    if not math.isfinite(scale):
+        raise ValueError(f"cannot quantize values whose clip scale {scale} is not finite")
     if scale == 0.0:
         return np.zeros_like(values)
     if values.ndim == 0:  # the in-place steps below need an array
@@ -389,7 +393,7 @@ def quantize(values, spec: QuantizerSpec, lut: LookupTable | None = None,
         if lut is None:
             raise ValueError("lut mode requires a LookupTable")
         levels, table = lut.unique_levels, lut.snap_table
-        if table is not None and spec.rounding == "deterministic" and math.isfinite(scale):
+        if table is not None and spec.rounding == "deterministic":
             return _snap_by_table(normalized, table, levels, values, scale)
     else:  # percentile
         n_levels = 2 ** spec.bits if values.min() >= 0 else 2 ** (spec.bits - 1)
@@ -521,7 +525,7 @@ def apply_shot_noise(outputs, photons_per_mac: float, macs_per_output: int, seed
     if mean == 0.0:
         return outputs.copy()  # Poisson(0) = 0 a.s.
     photons = photons_per_mac * macs_per_output
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     with np.errstate(over="ignore"):
         scale = photons / mean
     if math.isinf(scale) and math.isfinite(photons):
@@ -580,7 +584,7 @@ def apply_systematic_noise(outputs, percent: float, seed=None) -> np.ndarray:
         return outputs.copy()
     # rng.normal(0.0, sigma, shape) is 0.0 + sigma * z: drawn, scaled and
     # added in one array, the same bits (+ 0.0 turns a -0.0 product into 0.0)
-    noisy = _as_rng(seed).standard_normal(outputs.shape)
+    noisy = np.random.default_rng(seed).standard_normal(outputs.shape)
     noisy *= sigma
     noisy += 0.0
     noisy += outputs
@@ -621,7 +625,7 @@ def optical_matmul(w, x, noise: NoiseSpec | None = None,
     if w.ndim != 2 or x.ndim != 2 or w.shape[1] != x.shape[0]:
         raise ValueError(f"incompatible shapes {w.shape} @ {x.shape}")
 
-    rng = _as_rng(seed if seed is not None else noise.seed)
+    rng = np.random.default_rng(seed if seed is not None else noise.seed)
     w_side_lut = input_lut if kind == "attn" else weight_lut
     if w_side_lut is not None:
         w = lut_snap(w, w_side_lut)

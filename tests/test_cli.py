@@ -890,6 +890,21 @@ def test_every_command_line_ends_in_outputs_or_one_error_line(tiny_inputs, argv)
     assert status == (2 if err.startswith("error:usage:") else 1), err
 
 
+@pytest.mark.parametrize("fault,line", [(ValueError("boom"), "error:internal: boom\n"),
+                                        (KeyError("k"), "error:internal: 'k'\n")],
+                         ids=["ValueError", "KeyError"])
+def test_a_fault_in_photonsim_is_an_internal_error(tmp_path, capsys, monkeypatch, fault, line):
+    # no bad input ends here: a ValueError or KeyError that reaches main() is
+    # photonsim's own
+    def cmd_catalogue(args):
+        raise fault
+    monkeypatch.setattr(photonsim.cli, "cmd_catalogue", cmd_catalogue)
+    out = tmp_path / "out"
+    assert main(["catalogue", "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", line)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["simulate", "sweep"])
 def test_flag_prefixes_are_rejected(tmp_path, command):
     # `--all` must not be taken for --allow-large, which lifts the desk-scale limit
@@ -1033,7 +1048,7 @@ def test_write_json_float_matrices_match_reference(tmp_path, matrix):
     for array in (c, np.asfortranarray(c), spaced[::2, 1::3]):
         assert_written_like_reference(path, {"m": [matrix, matrix[0]]},
                                       written={"m": [array, array[0]]})
-        # one array object at several depths: formatted at the first, shifted at the others
+        # one array object at several depths: formatted anew at each
         assert_written_like_reference(
             path, {"deep": [[matrix]], "top": matrix, "deeper": [[[matrix]]], "again": [[matrix]]},
             written={"deep": [[array]], "top": array, "deeper": [[[array]]], "again": [[array]]})

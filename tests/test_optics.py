@@ -288,12 +288,14 @@ def test_quantize_lut_matches_binary_search(lut, has_table):
                    *large, *map(np.asfortranarray, large)):
         magnitudes = np.abs(values)
         scale = magnitudes.max()
-        with np.errstate(invalid="ignore"):  # inf / inf and NaN
-            normalized = np.minimum(magnitudes / scale, 1.0)
-            want = np.sign(values) * _snap_deterministic(normalized, lut.unique_levels)
-            want *= scale
-            got = quantize(values, spec, lut=lut)
-        _assert_same_snap(got, want)
+        if not math.isfinite(scale):  # an inf or NaN operand has no scale to snap by
+            with pytest.raises(ValueError, match="clip scale"):
+                quantize(values, spec, lut=lut)
+            continue
+        normalized = np.minimum(magnitudes / scale, 1.0)
+        want = np.sign(values) * _snap_deterministic(normalized, lut.unique_levels)
+        want *= scale
+        _assert_same_snap(quantize(values, spec, lut=lut), want)
 
 
 def _quantize_in_given_order(values, spec, lut=None, rng=None):
@@ -331,11 +333,56 @@ def test_quantize_keeps_bits_and_strides_of_snapping_in_given_order(spec, lut, s
     base.flat[:len(special)] = special
     for values in (base[:, :shape[1]].copy(), np.asfortranarray(base[:, :shape[1]]),
                    base[:, ::2], base[:, ::2].T, np.float64(base[0, 0]), np.array(-0.0)):
-        with np.errstate(invalid="ignore"):  # inf / inf and NaN
-            want = _quantize_in_given_order(values, spec, lut, derive_rng(24))
-            got = quantize(values, spec, lut=lut, rng=derive_rng(24))
+        scale = np.percentile(np.abs(values), spec.clip_percentile, method="higher")
+        if not math.isfinite(scale):  # NaN, or inf at clip 100
+            with pytest.raises(ValueError, match="clip scale"):
+                quantize(values, spec, lut=lut, rng=derive_rng(24))
+            continue
+        # a clip percentile below 100 saturates +-inf at +-scale
+        want = _quantize_in_given_order(values, spec, lut, derive_rng(24))
+        got = quantize(values, spec, lut=lut, rng=derive_rng(24))
         assert type(got) is type(want)
         _assert_same_snap(np.asarray(got), np.asarray(want))
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+def test_quantize_rejects_an_operand_it_cannot_scale(bad):
+    lut = lut_synthesize(32, 256, floor=0.004)
+    values = np.array([0.5, bad, -0.5])
+    for spec in (QuantizerSpec(mode="lut"), QuantizerSpec(mode="lut", rounding="stochastic"),
+                 QuantizerSpec(mode="percentile", bits=4)):
+        with pytest.raises(ValueError, match="clip scale"):
+            quantize(values, spec, lut=lut, rng=derive_rng(1))
+    with pytest.raises(ValueError, match="clip scale"):
+        lut_snap(values, lut)
+    clipped = QuantizerSpec(mode="percentile", bits=4, clip_percentile=50.0)
+    if math.isnan(bad):
+        with pytest.raises(ValueError, match="clip scale"):
+            quantize(values, clipped)
+    else:  # the scale is 0.5, at which +-inf saturates
+        assert quantize(values, clipped).tolist() == [0.5, math.copysign(0.5, bad), -0.5]
+
+    # ema: a rejected batch leaves the running range as it was
+    ema = QuantizerSpec(mode="ema", bits=4)
+    state = EmaState(lo=-1.0, hi=1.0)
+    with pytest.raises(ValueError, match="range"):
+        quantize(values, ema, state=state)
+    assert (state.lo, state.hi) == (-1.0, 1.0)
+    with pytest.raises(ValueError, match="range"):
+        quantize(values, ema)
+    fresh = EmaState()
+    with pytest.raises(ValueError, match="range"):
+        quantize(values, ema, state=fresh)
+    assert (fresh.lo, fresh.hi) == (None, None)
+
+    # optical_matmul snaps each operand through its LUT
+    w, x = derive_rng(2).normal(size=(3, 4)), derive_rng(3).normal(size=(4, 2))
+    bad_w, bad_x = w.copy(), x.copy()
+    bad_w[1, 2], bad_x[0, 1] = bad, bad
+    for args in ({"w": bad_w, "x": x, "weight_lut": lut}, {"w": w, "x": bad_x, "input_lut": lut},
+                 {"w": bad_w, "x": x, "input_lut": lut, "kind": "attn"}):
+        with pytest.raises(ValueError, match="clip scale"):
+            optical_matmul(noise=NoiseSpec(photons_per_mac=1000, seed=4), **args)
 
 
 def test_quantize_scalar_input():

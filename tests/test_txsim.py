@@ -490,6 +490,33 @@ def test_openblas_threads_without_numpys_extension_module(monkeypatch):
     assert photonsim.txsim._openblas_threads() is None
 
 
+@pytest.mark.parametrize("exported,found", [
+    (("openblas",), "openblas"),  # numpy 1's names
+    (("scipy_openblas", "openblas"), "scipy_openblas"),
+    ((), None),
+    (None, None),  # the extension module cannot be loaded
+], ids=["openblas", "both", "neither", "no-library"])
+def test_openblas_threads_finds_the_names_the_library_exports(monkeypatch, exported, found):
+    import ctypes
+    import types
+
+    def cdll(path):
+        if exported is None:
+            raise OSError(path)
+        return types.SimpleNamespace(**{f"{prefix}_{verb}_num_threads64_":
+                                        types.SimpleNamespace(name=f"{prefix}_{verb}")
+                                        for prefix in exported for verb in ("get", "set")})
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    blas = photonsim.txsim._openblas_threads()
+    if found is None:
+        assert blas is None
+        return
+    get, set_ = blas
+    assert (get.name, set_.name) == (f"{found}_get", f"{found}_set")
+    assert (get.argtypes, get.restype) == ([], ctypes.c_int)
+    assert (set_.argtypes, set_.restype) == ([ctypes.c_int], None)
+
+
 @forked_sweep
 def test_sweep_beside_another_thread_stays_in_one_process(monkeypatch):
     # a fork could leave the other thread's locks held in the child
