@@ -9,11 +9,8 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import MISSING, asdict, dataclass, fields
 from functools import cached_property, lru_cache
-
-from .artifacts import write_json
 
 # The weight matrices each layer keeps resident on the optical hardware, as
 # (product class, rows, cols) with rows and cols in units of d, in the order
@@ -111,9 +108,6 @@ class ProductCounts:
 # Matrix product classes in execution order within one layer.
 PRODUCT_CLASSES = ("qkv", "attn_qk", "attn_av", "out_proj", "ff1", "ff2")
 
-# Element-wise/digital function classes (run on the electronic side).
-DIGITAL_CLASSES = ("softmax", "layernorm", "activation", "residual")
-
 
 @dataclass(frozen=True)
 class ComputeBreakdown:
@@ -134,10 +128,6 @@ class ComputeBreakdown:
     @cached_property  # cost models ask for it once per report and per scenario
     def total_macs(self) -> int:
         return self.layers * self.macs_per_layer
-
-    @property
-    def loads_per_layer(self) -> int:
-        return sum(p.loads for p in self.products.values())
 
     @property
     def detects_per_layer(self) -> int:
@@ -267,17 +257,6 @@ def catalogue_from_json(text: str) -> list[ModelConfig]:
     if not isinstance(rows, list):
         raise ValueError(f"catalogue must be a JSON array, got {type(rows).__name__}")
     return [ModelConfig.from_json(row) for row in rows]
-
-
-def load_catalogue(path: str | os.PathLike) -> list[ModelConfig]:
-    """Read a JSON catalogue file (see `catalogue_from_json`)."""
-    with open(path, encoding="utf-8") as fh:
-        return catalogue_from_json(fh.read())
-
-
-def save_catalogue(path: str | os.PathLike, configs: list[ModelConfig]) -> None:
-    """Write a JSON catalogue in the same array-of-objects format."""
-    write_json(path, [c.to_json_dict() for c in configs])
 
 
 def find_model(name: str, catalogue: list[ModelConfig] | None = None) -> ModelConfig:

@@ -9,9 +9,8 @@ pass of one sequence.
 """
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, asdict, fields, replace
+from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 from itertools import chain
 from operator import itemgetter
@@ -70,9 +69,6 @@ class HardwareProfile:
         # one memory read + write per element of a digital function
         return self.mem_bits_per_scalar * (self.e_read_sram + self.e_write)
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2)
-
     @classmethod
     def from_json(cls, doc: str | dict) -> "HardwareProfile":
         return cls(**json_fields(doc, cls, "profile"))
@@ -127,6 +123,8 @@ class PhotonPolicy:
         if self.scaling == "table" and not self.table:
             raise ValueError("table scaling requires a non-empty table")
         for d, photons in (self.table or {}).items():
+            if type(d) is not int or d < 1:  # bool is an int subclass
+                raise ValueError(f"table keys must be integer model dimensions >= 1, got {d!r}")
             if isinstance(photons, bool) or not 0 < float(photons) < math.inf:
                 raise ValueError(f"table photons per MAC at d={d} must be finite and > 0, "
                                  f"got {photons!r}")
@@ -141,12 +139,6 @@ class PhotonPolicy:
             raise KeyError(f"no photon count tabulated for d={d}; table covers {known}")
         return float(self.table[d])
 
-    def to_json(self) -> str:
-        data = asdict(self)
-        if data["table"] is not None:
-            data["table"] = {str(k): v for k, v in data["table"].items()}
-        return json.dumps(data, indent=2)
-
     @classmethod
     def from_json(cls, doc: str | dict) -> "PhotonPolicy":
         data = json_fields(doc, cls, "policy")
@@ -154,7 +146,8 @@ class PhotonPolicy:
         if table is not None:
             if not isinstance(table, dict):
                 raise ValueError(f"policy table must be a JSON object, got {type(table).__name__}")
-            data["table"] = {int(k): v for k, v in table.items()}
+            # JSON object keys are text; any other key is checked as given
+            data["table"] = {int(k) if isinstance(k, str) else k: v for k, v in table.items()}
         return cls(**data)
 
 
@@ -240,29 +233,19 @@ def _priced_cells(config: ModelConfig, zero_signs: tuple, photons_per_mac: float
     return cells, breakdown.total_macs
 
 
-def _energy_report(config: ModelConfig, profile: HardwareProfile, photons_per_mac: float,
-                   baselines: dict[str, float] | None) -> EnergyReport:
-    costs = (photons_per_mac, profile.load_cost, profile.detect_cost, profile.photon_energy,
-             profile.e_maintain, profile.digital_element_cost)
+def total_energy(config: ModelConfig, profile: HardwareProfile | None = None,
+                 policy: PhotonPolicy | None = None,
+                 baselines: dict[str, float] | None = None) -> EnergyReport:
+    """Full per-inference report: electrical + optical + maintenance + digital."""
+    profile = profile or _DEFAULT_PROFILE
+    costs = ((policy or _DEFAULT_POLICY).photons_per_mac(config.d), profile.load_cost,
+             profile.detect_cost, profile.photon_energy, profile.e_maintain,
+             profile.digital_element_cost)
     zero_signs = () if all(costs) else tuple([math.copysign(1.0, c) for c in costs if not c])
     cells, total_macs = _priced_cells(config, zero_signs, *costs)
     return EnergyReport(model=config.name, total_macs=total_macs,
                         cells={c: cats.copy() for c, cats in cells.items()},
                         baselines=dict(baselines or DIGITAL_BASELINES))
-
-
-def electrical_energy(config: ModelConfig, profile: HardwareProfile | None = None) -> EnergyReport:
-    """Electrical cells only: load/detect per product class, weight
-    maintenance per MAC, and the digital-function memory traffic."""
-    return _energy_report(config, profile or _DEFAULT_PROFILE, 0.0, None)
-
-
-def total_energy(config: ModelConfig, profile: HardwareProfile | None = None,
-                 policy: PhotonPolicy | None = None,
-                 baselines: dict[str, float] | None = None) -> EnergyReport:
-    """Full per-inference report: electrical + optical + maintenance + digital."""
-    return _energy_report(config, profile or _DEFAULT_PROFILE,
-                          (policy or _DEFAULT_POLICY).photons_per_mac(config.d), baselines)
 
 
 def advantage(config: ModelConfig, profile: HardwareProfile | None = None,
@@ -284,10 +267,12 @@ class ChunkingScenario:
     batch_size: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.memory_capacity_weights > 0:
-            raise ValueError("memory_capacity_weights must be > 0")
-        if not self.batch_size >= 1:
-            raise ValueError("batch_size must be >= 1")
+        # as in HardwareProfile, a bool is no number here and NaN fails the bounds
+        memory, batch = self.memory_capacity_weights, self.batch_size
+        if isinstance(memory, bool) or not 0 < memory < math.inf:
+            raise ValueError(f"memory_capacity_weights must be finite and > 0, got {memory!r}")
+        if isinstance(batch, bool) or not 1 <= batch < math.inf:
+            raise ValueError(f"batch_size must be finite and >= 1, got {batch!r}")
 
     def chunks(self, layer_weight_count: int) -> int:
         return max(1, math.ceil(layer_weight_count / self.memory_capacity_weights))

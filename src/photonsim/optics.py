@@ -9,19 +9,17 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 import os
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .arch import json_fields
 from .artifacts import write_csv
 
-QUANTIZER_MODES = ("ema", "percentile", "lut")
+QUANTIZER_MODES = ("percentile", "lut")
 ROUNDING_MODES = ("deterministic", "stochastic")
 
 # Mean photon count per output (photons per MAC x MACs per output) from which
@@ -95,12 +93,6 @@ class LookupTable:
         object.__setattr__(self, "levels", levels)
 
     @cached_property
-    def floor(self) -> float:
-        """The least nonzero level. A device that cannot fully extinguish
-        has no zero level, and its floor is its least level."""
-        return float(self.levels[self.levels > 0].min())
-
-    @cached_property
     def unique_levels(self) -> np.ndarray:
         levels = np.unique(self.levels)
         levels.flags.writeable = False
@@ -150,12 +142,6 @@ def lut_from_csv(text: str) -> LookupTable:
     return LookupTable(levels=levels)
 
 
-def load_lut(path: str | os.PathLike) -> LookupTable:
-    """Read a LUT CSV file (see `lut_from_csv`)."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        return lut_from_csv(fh.read())
-
-
 def save_lut(path: str | os.PathLike, lut: LookupTable) -> None:
     write_csv(path, ["level_index", "value"], enumerate(lut.levels))
 
@@ -168,14 +154,12 @@ def save_lut(path: str | os.PathLike, lut: LookupTable) -> None:
 class QuantizerSpec:
     """How real values map onto representable levels.
 
-    mode: "ema" (running min/max affine grid), "percentile" (symmetric grid
-    clipped at a percentile of |values|), or "lut" (device levels).
-    clip_percentile = 100 means clip at the max.
+    mode: "percentile" (symmetric grid clipped at a percentile of |values|)
+    or "lut" (device levels). clip_percentile = 100 means clip at the max.
     """
 
     mode: str = "percentile"
     bits: int = 8
-    ema_gamma: float = 0.999
     clip_percentile: float = 100.0
     rounding: str = "deterministic"
 
@@ -186,33 +170,8 @@ class QuantizerSpec:
             raise ValueError(f"rounding must be one of {ROUNDING_MODES}, got {self.rounding!r}")
         if type(self.bits) is not int or self.bits < 1:  # bool is an int subclass
             raise ValueError(f"bits must be an integer >= 1, got {self.bits!r}")
-        if not 0 < self.ema_gamma < 1:
-            raise ValueError(f"ema_gamma must be in (0, 1), got {self.ema_gamma}")
         if isinstance(self.clip_percentile, bool) or not 0 < self.clip_percentile <= 100:
             raise ValueError(f"clip_percentile must be in (0, 100], got {self.clip_percentile!r}")
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self))
-
-    @classmethod
-    def from_json(cls, doc: str | dict) -> "QuantizerSpec":
-        return cls(**json_fields(doc, cls, "quantizer spec"))
-
-
-@dataclass
-class EmaState:
-    """Running min/max for the EMA quantizer. One state per simulation
-    context; not safe to share across concurrent runs."""
-
-    lo: float | None = None
-    hi: float | None = None
-
-    def update(self, batch_lo: float, batch_hi: float, gamma: float) -> None:
-        if self.lo is None:
-            self.lo, self.hi = batch_lo, batch_hi
-        else:
-            self.lo = gamma * self.lo + (1 - gamma) * batch_lo
-            self.hi = gamma * self.hi + (1 - gamma) * batch_hi
 
 
 def _bracket(x: np.ndarray, levels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -341,7 +300,7 @@ def _clip_scale(magnitudes: np.ndarray, percentile: float) -> float:
 
 
 def quantize(values, spec: QuantizerSpec, lut: LookupTable | None = None,
-             state: EmaState | None = None, rng=None) -> np.ndarray:
+             rng=None) -> np.ndarray:
     """Map values onto representable levels per `spec`.
 
     - lut mode: magnitudes normalized by the clip scale are snapped to LUT
@@ -349,11 +308,9 @@ def quantize(values, spec: QuantizerSpec, lut: LookupTable | None = None,
     - percentile mode: uniform magnitude grid on [0, clip], sign restored;
       tensors that are entirely non-negative get the full 2^bits levels,
       signed tensors get 2^(bits-1) magnitude levels plus sign.
-    - ema mode: affine grid over the (running) min/max range.
 
-    Raises ValueError where the clip scale, or in ema mode the batch's min or
-    max, is not finite (an operand holding inf or NaN), before `state` is
-    updated. Under a clip percentile that leaves the scale finite, +-inf
+    Raises ValueError where the clip scale is not finite (an operand holding
+    inf or NaN). Under a clip percentile that leaves the scale finite, +-inf
     saturates at +-scale.
     """
     values = np.asarray(values, dtype=float)
@@ -362,21 +319,6 @@ def quantize(values, spec: QuantizerSpec, lut: LookupTable | None = None,
     if spec.rounding == "stochastic" and rng is None:
         raise ValueError("stochastic rounding requires an rng or seed")
     rng = np.random.default_rng(rng) if spec.rounding == "stochastic" else None
-
-    if spec.mode == "ema":
-        batch_lo, batch_hi = float(values.min()), float(values.max())
-        if not (math.isfinite(batch_lo) and math.isfinite(batch_hi)):
-            raise ValueError(f"cannot quantize a batch whose range [{batch_lo}, {batch_hi}]"
-                             " is not finite")
-        if state is not None:
-            state.update(batch_lo, batch_hi, spec.ema_gamma)
-            lo, hi = state.lo, state.hi
-        else:
-            lo, hi = batch_lo, batch_hi
-        if lo == hi:
-            return values.copy()
-        grid = np.linspace(lo, hi, 2 ** spec.bits)
-        return _snap(np.clip(values, lo, hi), grid, spec.rounding, rng)
 
     magnitudes = np.abs(values)
     scale = _clip_scale(magnitudes, spec.clip_percentile)
@@ -490,19 +432,6 @@ class NoiseSpec:
         if (isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer))
                 or self.seed < 0):
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
-
-    def to_json(self) -> str:
-        data = asdict(self)
-        if math.isinf(self.photons_per_mac):
-            data["photons_per_mac"] = None  # JSON has no Infinity
-        return json.dumps(data)
-
-    @classmethod
-    def from_json(cls, doc: str | dict) -> "NoiseSpec":
-        data = json_fields(doc, cls, "noise spec")
-        if data.get("photons_per_mac") in (None, "inf"):
-            data["photons_per_mac"] = math.inf
-        return cls(**data)
 
 
 def apply_shot_noise(outputs, photons_per_mac: float, macs_per_output: int, seed=None) -> np.ndarray:
@@ -655,18 +584,3 @@ def optical_matmul(w, x, noise: NoiseSpec | None = None,
     if percent == 0:  # apply_systematic_noise would only copy this fresh array
         return product
     return apply_systematic_noise(product, percent, seed=rng)
-
-
-def empirical_snr(samples) -> float:
-    """Element-wise mean/std over repeated samples, aggregated by mean.
-
-    Returns math.inf when the samples are identical (noiseless sentinel).
-    """
-    if len(samples) < 2:
-        raise ValueError("empirical_snr needs at least 2 samples")
-    stack = np.stack([np.asarray(s, dtype=float) for s in samples])
-    mean = stack.mean(axis=0)
-    std = stack.std(axis=0, ddof=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(std > 0, np.abs(mean) / np.where(std > 0, std, 1.0), math.inf)
-    return float(ratio.mean())

@@ -7,7 +7,6 @@ tokenization: inputs are raw n x d matrices.
 """
 from __future__ import annotations
 
-import json
 import math
 import os
 from collections.abc import Sequence
@@ -16,7 +15,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .arch import PRODUCT_CLASSES, WEIGHT_MATRICES, ModelConfig, compute_breakdown
-from .artifacts import _atomic_write
 from .optics import (LookupTable, NoiseSpec, derive_rng, derive_seed, lut_snap,
                      optical_matmul)
 
@@ -371,7 +369,7 @@ def _fork_cells(cell, shares: list[list[int]], get_threads, set_threads) -> list
 
 def trace_to_json_dict(trace: ForwardTrace, config: ModelConfig, seed: int) -> dict:
     """The trace as a JSON document whose activations are the trace's own
-    arrays: json.dumps needs default=np.ndarray.tolist."""
+    float64 arrays, which `artifacts.write_json` formats as the CLI's traces."""
     return {
         "config": config.to_json_dict(),
         "seed": seed,
@@ -380,19 +378,3 @@ def trace_to_json_dict(trace: ForwardTrace, config: ModelConfig, seed: int) -> d
         "final": trace.final,
         "mean_abs": trace.mean_abs(),
     }
-
-
-def save_trace(path: str | os.PathLike, trace: ForwardTrace, config: ModelConfig, seed: int) -> None:
-    """The trace as compact JSON at full precision, encoded before the file is
-    written atomically: a trace that cannot be encoded leaves no file."""
-    text = json.dumps(trace_to_json_dict(trace, config, seed), default=np.ndarray.tolist)
-    _atomic_write(path, [text, "\n"])
-
-
-def load_trace(path: str | os.PathLike) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    for key in ("post_attention", "post_ff"):
-        doc[key] = [np.asarray(a) for a in doc[key]]
-    doc["final"] = np.asarray(doc["final"])
-    return doc

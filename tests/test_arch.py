@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from photonsim import (DIGITAL_CLASSES, HardwareProfile, ModelConfig, NoiseSpec,
-                       PRODUCT_CLASSES, PhotonPolicy, QuantizerSpec, builtin_catalogue,
-                       compute_breakdown, find_model, hardware_requirements,
-                       load_catalogue, product_counts, save_catalogue)
+from photonsim import (HardwareProfile, ModelConfig, PRODUCT_CLASSES, PhotonPolicy,
+                       builtin_catalogue, compute_breakdown, find_model, hardware_requirements,
+                       product_counts)
+from photonsim.arch import catalogue_from_json
+from photonsim.artifacts import write_json
 
 
 # --------------------------------------------------------------------------
@@ -49,7 +50,7 @@ def test_breakdown_matches_brute_force(n, d, h):
     macs, loads, detects = brute_force_layer_counts(n, d, h)
     bd = compute_breakdown(ModelConfig("t", n, d, h, 1))
     assert bd.macs_per_layer == macs
-    assert bd.loads_per_layer == loads
+    assert sum(p.loads for p in bd.products.values()) == loads
     assert bd.detects_per_layer == detects
 
 
@@ -58,7 +59,7 @@ def test_closed_forms():
         bd = compute_breakdown(ModelConfig("t", n, d, h, L))
         assert bd.macs_per_layer == 12 * n * d * d + 2 * n * n * d
         assert bd.total_macs == L * bd.macs_per_layer
-        assert bd.loads_per_layer == 10 * n * d + h * n * n
+        assert sum(p.loads for p in bd.products.values()) == 10 * n * d + h * n * n
         assert bd.detects_per_layer == 10 * n * d + h * n * n
         assert bd.digital_elements_per_layer == h * n * n + 8 * n * d
 
@@ -98,7 +99,7 @@ def test_per_class_counts():
     assert p["out_proj"].macs == n * d * d
     assert p["ff1"].macs == p["ff2"].macs == 4 * n * d * d
     assert set(p) == set(PRODUCT_CLASSES)
-    assert set(bd.digital_elements) == set(DIGITAL_CLASSES)
+    assert set(bd.digital_elements) == {"softmax", "layernorm", "activation", "residual"}
     assert bd.digital_elements["softmax"] == h * n * n
     assert bd.digital_elements["layernorm"] == 2 * n * d
     assert bd.digital_elements["activation"] == 4 * n * d
@@ -206,32 +207,27 @@ def test_find_model_case_insensitive():
 
 def test_catalogue_round_trip(tmp_path):
     path = tmp_path / "cat.json"
-    save_catalogue(path, builtin_catalogue())
-    loaded = load_catalogue(path)
-    assert loaded == builtin_catalogue()
-    custom = [ModelConfig("mine", 8, 16, 2, 1)]
-    save_catalogue(path, custom)
-    assert load_catalogue(path) == custom
+    for configs in (builtin_catalogue(), [ModelConfig("mine", 8, 16, 2, 1)]):
+        write_json(path, [c.to_json_dict() for c in configs])
+        assert catalogue_from_json(path.read_text(encoding="utf-8")) == configs
 
 
 def test_save_catalogue_bytes(tmp_path):
+    # a catalogue file as a PHOTONSIM_CATALOGUE override reads it
     path = tmp_path / "cat.json"
-    save_catalogue(path, [ModelConfig("tiny", 8, 16, 2, 1),
-                          ModelConfig("Gr\u00fcn-\u5149", 1024, 768, 12, 12)])
+    configs = [ModelConfig("tiny", 8, 16, 2, 1), ModelConfig("Gr\u00fcn-\u5149", 1024, 768, 12, 12)]
+    write_json(path, [c.to_json_dict() for c in configs])
     assert path.read_bytes() == (
         b'[\n  {\n    "name": "tiny",\n    "n": 8,\n    "d": 16,\n    "h": 2,\n    "L": 1\n  },\n'
         b'  {\n    "name": "Gr\\u00fcn-\\u5149",\n    "n": 1024,\n    "d": 768,\n    "h": 12,\n'
         b'    "L": 12\n  }\n]\n')
 
 
-def test_load_catalogue_rejects_bad_shapes(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text('{"not": "a list"}')
-    with pytest.raises(ValueError):
-        load_catalogue(path)
-    path.write_text('[{"name": "x", "n": 4}]')
-    with pytest.raises(ValueError):
-        load_catalogue(path)
+def test_load_catalogue_rejects_bad_shapes():
+    with pytest.raises(ValueError, match="must be a JSON array"):
+        catalogue_from_json('{"not": "a list"}')
+    with pytest.raises(ValueError, match="missing field"):
+        catalogue_from_json('[{"name": "x", "n": 4}]')
 
 
 def test_compute_breakdown_is_shared_by_equal_configs():
@@ -246,17 +242,9 @@ def test_compute_breakdown_is_shared_by_equal_configs():
 ROW = {"name": "x", "n": 4, "d": 8, "h": 2, "L": 1}
 
 
-def read_catalogue_row(tmp_path, row):
-    path = tmp_path / "cat.json"
-    path.write_text(json.dumps([row]))
-    return load_catalogue(path)
-
-
 READERS = {
     "profile": HardwareProfile.from_json,
     "policy": PhotonPolicy.from_json,
-    "noise_spec": NoiseSpec.from_json,
-    "quantizer_spec": QuantizerSpec.from_json,
     "model_config": ModelConfig.from_json,
 }
 
@@ -283,9 +271,9 @@ def test_json_readers_reject_unknown_fields(reader):
     ({"name": "x", "n": 4, "d": 8, "h": 2}, "missing field 'L'"),
     (dict(ROW, name=5), "name must be a string"),
 ], ids=["list", "int", "unknown", "missing", "name_not_string"])
-def test_load_catalogue_rejects_bad_rows(tmp_path, row, match):
+def test_load_catalogue_rejects_bad_rows(row, match):
     with pytest.raises(ValueError, match=match):
-        read_catalogue_row(tmp_path, row)
+        catalogue_from_json(json.dumps([row]))
 
 
 def test_model_config_json_form():

@@ -24,7 +24,7 @@ import photonsim.optics
 from photonsim import (ChunkingScenario, DIGITAL_BASELINES, HardwareProfile, ModelConfig,
                        advantage, builtin_catalogue, chunked_onn_energy, compute_breakdown,
                        find_model, future_profile, init_weights, lut_synthesize,
-                       save_catalogue, save_lut, total_energy)
+                       save_lut, total_energy)
 import photonsim.cli
 import photonsim.txsim
 from photonsim.artifacts import _non_finite
@@ -411,7 +411,7 @@ def test_catalogue_export(tmp_path, capsys):
 
 def test_catalogue_env_override(tmp_path, monkeypatch):
     custom = tmp_path / "custom.json"
-    save_catalogue(custom, [ModelConfig("mine", 8, 16, 2, 1)])
+    write_json(str(custom), [ModelConfig("mine", 8, 16, 2, 1).to_json_dict()])
     monkeypatch.setenv("PHOTONSIM_CATALOGUE", str(custom))
     out = tmp_path / "cat"
     assert main(["catalogue", "--out", str(out), "--format", "csv"]) == 0
@@ -544,6 +544,9 @@ BAD_CONTENTS.update({  # values out of range or of the wrong type; json reads Na
     **{f"table_{name}": {"policy": '{"scaling": "table", "table": {"768": %s}}' % value}
        for name, value in [("nan", "NaN"), ("inf", "Infinity"), ("minus_inf", "-Infinity"),
                            ("zero", "0"), ("negative", "-5"), ("bool", "true")]},
+    **{f"table_key_{name}": {"policy": json.dumps({"scaling": "table",
+                                                   "table": {"768": 500, key: 5}})}
+       for name, key in [("zero", "0"), ("negative", "-3")]},
     "table_misses_d": {"policy": '{"scaling": "table", "table": {"192": 120}}'},  # d is 768
     "reference_d_fraction": {"policy": '{"reference_d": 5.5}'},
     "reference_photons_inf": {"policy": '{"reference_photons_per_mac": Infinity}'},
@@ -1155,9 +1158,6 @@ def test_trace_documents_keep_their_bytes(tmp_path):
                       value.tolist() if key == "final" else value)
                 for key, value in doc.items()}
     assert_written_like_reference(tmp_path / "written.json", as_lists, written=doc)
-    photonsim.txsim.save_trace(tmp_path / "saved.json", trace, config, 3)
-    saved = (tmp_path / "saved.json").read_bytes()
-    assert saved == (json.dumps(as_lists) + "\n").encode("utf-8")
 
 
 def test_unencodable_value_in_a_streamed_document_leaves_no_file(tmp_path):

@@ -2,6 +2,7 @@
 import copy
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from photonsim import (CATEGORIES, ChunkingScenario, DIGITAL_BASELINES, Hardware
                        LAYER_CLASSES, ModelConfig, PhotonPolicy, advantage,
                        builtin_catalogue, chunked_gpu_energy, chunked_onn_energy,
                        clipped_policy, compute_breakdown, default_policy,
-                       default_profile, electrical_energy, find_model, future_profile,
+                       default_profile, find_model, future_profile,
                        product_counts, total_energy)
 import photonsim.energy
 from photonsim.cli import main
@@ -53,7 +54,7 @@ def test_profile_validation_and_json():
     with pytest.raises(ValueError):
         HardwareProfile(input_bits=0)
     p = HardwareProfile(e_dac=5e-12, input_bits=6)
-    assert HardwareProfile.from_json(p.to_json()) == p
+    assert HardwareProfile.from_json(json.dumps(asdict(p))) == p
 
 
 @pytest.mark.parametrize("field", ["e_dac", "photon_energy", "mem_bits_per_scalar", "input_bits"])
@@ -95,9 +96,21 @@ def test_policy_validation_and_json():
         PhotonPolicy(reference_photons_per_mac=0.0)
     with pytest.raises(ValueError):
         PhotonPolicy(scaling="table", table=None)
-    clip = clipped_policy()
-    assert PhotonPolicy.from_json(clip.to_json()) == clip
-    assert PhotonPolicy.from_json(default_policy().to_json()) == default_policy()
+    # JSON object keys are text: the table's dimensions are read as integers
+    clip = '{"scaling": "table", "table": {"192": 120.0, "384": 40.0}}'
+    assert PhotonPolicy.from_json(clip) == clipped_policy()
+    assert PhotonPolicy.from_json(json.dumps(asdict(default_policy()))) == default_policy()
+
+
+def test_policy_table_keys_are_model_dimensions():
+    # a key that is no dimension d >= 1 could only ever miss photons_per_mac's lookup
+    for key in (True, 0, -3, "192", 192.5):
+        with pytest.raises(ValueError, match="table keys"):
+            PhotonPolicy(scaling="table", table={768: 500.0, key: 5.0})
+    # a parsed key that is not text is checked as given
+    for table in ({"768": 500, "0": 5}, {"768": 500, "-3": 1}, {"768": 500, True: 5}):
+        with pytest.raises(ValueError, match="table keys"):
+            PhotonPolicy.from_json({"scaling": "table", "table": table})
 
 
 # --------------------------------------------------------------------------
@@ -121,7 +134,8 @@ def test_report_conservation():
 def test_electrical_energy_matches_closed_form():
     cfg = ModelConfig("t", n=32, d=64, h=4, L=3)
     p = default_profile()
-    rep = electrical_energy(cfg, p)
+    categories = total_energy(cfg, p).category_totals()
+    electrical = sum(j for cat, j in categories.items() if cat != "optical")
     n, d, h, L = cfg.n, cfg.d, cfg.h, cfg.L
     loads = 10 * n * d + h * n * n
     detects = 10 * n * d + h * n * n
@@ -129,7 +143,7 @@ def test_electrical_energy_matches_closed_form():
     macs = 12 * n * d * d + 2 * n * n * d
     expected = L * (loads * p.load_cost + detects * p.detect_cost
                     + digital * p.digital_element_cost + macs * p.e_maintain)
-    assert rep.total() == pytest.approx(expected, rel=REL)
+    assert electrical == pytest.approx(expected, rel=REL)
 
 
 def test_total_energy_adds_optical_per_class():
@@ -271,6 +285,15 @@ def test_chunking_scenario_validation():
         ChunkingScenario(memory_capacity_weights=1e6, batch_size=0.5)
 
 
+@pytest.mark.parametrize("field", ["memory_capacity_weights", "batch_size"])
+@pytest.mark.parametrize("value", [True, math.inf, math.nan])
+def test_chunking_scenario_rejects_bools_and_non_finite(field, value):
+    # as HardwareProfile does: True would be a capacity of one weight, and an
+    # infinite batch would zero the weight stream
+    with pytest.raises(ValueError, match=field):
+        ChunkingScenario(**{"memory_capacity_weights": 1e8, field: value})
+
+
 def test_chunked_energy_at_least_unchunked():
     cfg = find_model("GPT3-175B")
     base = total_energy(cfg).total()
@@ -390,7 +413,6 @@ def test_calls_given_no_profile_or_policy_build_none(monkeypatch):
                             built.append(type(self)) or check(self))
     streamed = ChunkingScenario(memory_capacity_weights=1e3)
     total_energy(cfg)
-    electrical_energy(cfg)
     chunked_onn_energy(cfg, scenario=streamed)
     assert built == []
     future_profile()

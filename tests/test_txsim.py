@@ -12,9 +12,10 @@ from hypothesis import given, settings, strategies as st
 
 from photonsim import (DigitalBackend, ModelConfig, NoiseSpec, OpticalBackend,
                        compute_breakdown, derive_rng, derive_seed, deviation, forward,
-                       init_weights, load_trace, lut_synthesize, make_input, noise_sweep,
-                       save_trace, trace_to_json_dict)
+                       init_weights, lut_synthesize, make_input, noise_sweep,
+                       trace_to_json_dict)
 from photonsim.arch import PRODUCT_CLASSES, WEIGHT_MATRICES
+from photonsim.artifacts import write_json
 import photonsim.cli
 import photonsim.txsim
 from photonsim.txsim import _layernorm, _relu6, _softmax
@@ -170,7 +171,7 @@ def test_forward_matches_straight_line_oracle():
 
 def test_forward_matches_golden_trace():
     cfg = ModelConfig("golden", n=4, d=8, h=2, L=2)
-    golden = load_trace(DATA / "golden_trace_n4d8h2L2.json")
+    golden = json.loads((DATA / "golden_trace_n4d8h2L2.json").read_text(encoding="utf-8"))
     trace = forward(cfg, init_weights(cfg, 42), make_input(cfg, 42))
     assert np.allclose(trace.final, golden["final"], rtol=1e-9, atol=1e-12)
     for mine, theirs in zip(trace.post_attention, golden["post_attention"]):
@@ -653,16 +654,20 @@ def test_ff_noise_hurts_more_than_attn_noise():
 @pytest.mark.parametrize("bad", [np.array([object()]), np.array([1j])],
                          ids=["mean_abs_fails", "encoding_fails"])
 def test_save_trace_that_fails_leaves_no_file(tmp_path, bad):
+    # as the CLI saves a trace: write_json of trace_to_json_dict
+    def save_trace(path, trace):
+        write_json(path, trace_to_json_dict(trace, TINY, 9))
+
     trace = forward(TINY, init_weights(TINY, 9), make_input(TINY, 9))
     broken = replace(trace, post_ff=[bad] * TINY.L)
     path = tmp_path / "trace.json"
     with pytest.raises(TypeError):
-        save_trace(path, broken, TINY, 9)
+        save_trace(path, broken)
     assert list(tmp_path.iterdir()) == []
-    save_trace(path, trace, TINY, 9)
+    save_trace(path, trace)
     saved = path.read_bytes()
     with pytest.raises(TypeError):
-        save_trace(path, broken, TINY, 9)
+        save_trace(path, broken)
     assert path.read_bytes() == saved
     assert list(tmp_path.iterdir()) == [path]
 
@@ -671,12 +676,11 @@ def test_trace_round_trip(tmp_path):
     wts = init_weights(TINY, 9)
     trace = forward(TINY, wts, make_input(TINY, 9))
     path = tmp_path / "trace.json"
-    save_trace(path, trace, TINY, 9)
-    loaded = load_trace(path)
+    doc = trace_to_json_dict(trace, TINY, 9)
+    write_json(path, doc)
+    loaded = json.loads(path.read_text(encoding="utf-8"))
     assert loaded["config"] == {"name": "tiny", "n": 4, "d": 8, "h": 2, "L": 2}
     assert loaded["seed"] == 9
-    assert np.allclose(loaded["final"], trace.final, rtol=1e-15)
+    assert np.allclose(loaded["final"], trace.final, rtol=1e-8, atol=0)  # 9 digits
     assert len(loaded["post_attention"]) == TINY.L
-    doc = trace_to_json_dict(trace, TINY, 9)
-    json.dumps(doc, default=np.ndarray.tolist)  # fully serializable
     assert doc["mean_abs"] == trace.mean_abs()
