@@ -4,7 +4,7 @@ Runs pytest in this process with a line tracer on every thread
 (`sys.settrace`, `threading.settrace`), then prints each statement of the
 package's modules that no traced frame reached, as `path:line: source`, and
 a count. A compound statement (if, for, try, def, ...) counts as run when a
-line of its header ran or any statement inside it did. Not counted: module,
+line of its header ran. Not counted: module,
 class and function docstrings, `global` and `nonlocal` declarations, and the
 bodies of `if TYPE_CHECKING:` and `if __name__ == "__main__":`, which no
 in-process run executes. Lines that run only in processes the tests start or
@@ -42,32 +42,26 @@ def _is_docstring(node: ast.stmt) -> bool:
 
 
 def _unrun(body: list[ast.stmt], ran: set[int], unrun: list[int],
-           may_have_docstring: bool) -> tuple[int, bool]:
+           may_have_docstring: bool) -> int:
     """Append to `unrun` the first lines of the statements in `body`, nested
     ones included, that never ran, given the lines that did; return how many
-    statements were counted and whether any of them ran."""
-    counted, any_ran = 0, False
+    statements were counted."""
+    counted = 0
     if may_have_docstring and body and _is_docstring(body[0]):
         body = body[1:]
     for node in body:
         if isinstance(node, (ast.Global, ast.Nonlocal)):
             continue
+        counted += 1
         start = min([node.lineno] + [d.lineno for d in getattr(node, "decorator_list", [])])
         inner = getattr(node, "body", None)
         end = max(inner[0].lineno, start + 1) if inner else node.end_lineno + 1
-        node_ran = not ran.isdisjoint(range(start, end))
-        defines = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        nested_unrun = []
-        for block in _blocks(node):
-            n, block_ran = _unrun(block, ran, nested_unrun, defines and block is inner)
-            counted += n
-            node_ran = node_ran or block_ran
-        counted += 1
-        any_ran = any_ran or node_ran
-        if not node_ran:
+        if ran.isdisjoint(range(start, end)):
             unrun.append(node.lineno)
-        unrun.extend(nested_unrun)
-    return counted, any_ran
+        defines = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        for block in _blocks(node):
+            counted += _unrun(block, ran, unrun, defines and block is inner)
+    return counted
 
 
 def _tracer(ran: dict[str, set[int]]):
@@ -115,7 +109,7 @@ def main(argv: list[str]) -> int:
         with open(path, encoding="utf-8") as fh:
             source = fh.read()
         unrun = []
-        total += _unrun(ast.parse(source).body, ran[path], unrun, True)[0]
+        total += _unrun(ast.parse(source).body, ran[path], unrun, True)
         missed += len(unrun)
         name = os.path.join(os.path.basename(package), os.path.basename(path))
         lines = source.splitlines()
