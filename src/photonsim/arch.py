@@ -11,6 +11,7 @@ import json
 import math
 from dataclasses import MISSING, asdict, dataclass, fields
 from functools import cached_property, lru_cache
+from numbers import Integral, Real
 
 # The weight matrices each layer keeps resident on the optical hardware, as
 # (product class, rows, cols) with rows and cols in units of d, in the order
@@ -20,6 +21,26 @@ WEIGHT_MATRICES = (("qkv", 1, 3), ("out_proj", 1, 1), ("ff1", 1, 4), ("ff2", 4, 
 # The feed-forward width in units of d: the columns of ff1, which the
 # activation runs over and ff2 reads back.
 _FF_WIDTH = {name: cols for name, _, cols in WEIGHT_MATRICES}["ff1"]
+
+
+# The rules of a number read from outside, each a (words, test) pair. A test
+# sees only a real number that is not a bool; an int rule takes Python's ints
+# alone, and a seed any integer, numpy's too.
+NON_NEGATIVE = ("finite and >= 0", lambda v: 0 <= v < math.inf)
+POSITIVE = ("finite and > 0", lambda v: 0 < v < math.inf)
+AT_LEAST_ONE = ("finite and >= 1", lambda v: 1 <= v < math.inf)
+POSITIVE_OR_INF = ("> 0 or inf", lambda v: v > 0)  # NaN fails every test
+COUNT = ("an integer >= 1", lambda v: type(v) is int and v >= 1)
+SEED = ("a non-negative integer", lambda v: isinstance(v, Integral) and v >= 0)
+
+
+def check_number(name: str, value, rule: tuple) -> None:
+    """Raise a ValueError naming `name` unless `value` is a real number, not a
+    bool, that passes `rule`."""
+    words, test = rule
+    # int and float first: the ABC check costs more, and most values are one of them
+    if type(value) is bool or not isinstance(value, (int, float, Real)) or not test(value):
+        raise ValueError(f"{name} must be {words}, got {value!r}")
 
 
 def json_fields(doc, cls, kind: str, **defaults) -> dict:
@@ -61,10 +82,8 @@ class ModelConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.name, str):
             raise ValueError(f"name must be a string, got {self.name!r}")
-        for f in fields(self):  # by declared type; bool is an int subclass
-            value = getattr(self, f.name)
-            if f.type == "int" and (type(value) is not int or value <= 0):
-                raise ValueError(f"{f.name} must be a positive integer, got {value!r}")
+        for name in ("n", "d", "h", "L"):
+            check_number(name, getattr(self, name), COUNT)
 
     @classmethod
     def from_json(cls, doc: str | dict, **defaults) -> "ModelConfig":
@@ -198,8 +217,7 @@ def hardware_requirements(config: ModelConfig, core_size: float = 1e7) -> Hardwa
     `core_size` weights each. SRAM holds the n feed-forward activation
     vectors at one byte per scalar.
     """
-    if not 0 < core_size < math.inf:
-        raise ValueError(f"core_size must be finite and positive, got {core_size}")
+    check_number("core_size", core_size, POSITIVE)
     d, width = config.d, _FF_WIDTH * config.d
     return HardwareRequirements(
         input_vector_elements=width,

@@ -16,8 +16,9 @@ import time
 import numpy as np
 
 from . import __version__
-from .arch import (ModelConfig, builtin_catalogue, catalogue_from_json, compute_breakdown,
-                   find_model, hardware_requirements)
+from .arch import (AT_LEAST_ONE, NON_NEGATIVE, POSITIVE, POSITIVE_OR_INF, SEED, ModelConfig,
+                   builtin_catalogue, catalogue_from_json, compute_breakdown, find_model,
+                   hardware_requirements)
 from .artifacts import _non_finite, fmt, write_csv, write_json
 from .energy import (ChunkingScenario, DIGITAL_BASELINES, HardwareProfile, PhotonPolicy,
                      chunked_gpu_energy, chunked_onn_energy, default_policy,
@@ -37,17 +38,19 @@ class CliError(Exception):
         self.err_class = err_class
 
 
-def _number(name: str, rule: str, valid, cast=float, many: bool = False):
-    """The parser of numeric input `name`: a `cast` value passing `valid`, which
-    `rule` describes, or with `many` a comma-separated list of them. As an
-    argparse type it raises a CliError, which argparse lets reach main()."""
+def _number(name: str, rule: tuple, cast=float, many: bool = False):
+    """The parser of numeric input `name`: a `cast` value passing `rule`, an
+    `arch` (words, test) pair, or with `many` a comma-separated list of them.
+    As an argparse type it raises a CliError, which argparse lets reach main()."""
+    words, valid = rule
+
     def one(text: str, label: str = name):
         try:
             value = cast(text)
         except ValueError:
             value = math.nan  # rejected below like any other invalid value
         if not valid(value):
-            raise CliError("usage", f"{label} must be {rule}, got {text}")
+            raise CliError("usage", f"{label} must be {words}, got {text}")
         return value
 
     def parse(text: str):
@@ -60,14 +63,9 @@ def _number(name: str, rule: str, valid, cast=float, many: bool = False):
     return parse
 
 
-_SEED = ("a non-negative integer", lambda v: v >= 0, int)
-_NON_NEGATIVE = ("finite and >= 0", lambda v: 0 <= v < math.inf)
-_POSITIVE = ("finite and > 0", lambda v: 0 < v < math.inf)
-_AT_LEAST_ONE = ("finite and >= 1", lambda v: 1 <= v < math.inf)
-_PHOTONS = _number("--photons", "> 0 or 'inf'", lambda v: v > 0)
 _LAST_EPOCH = 253402300799  # 9999-12-31T23:59:59Z
-_EPOCH = _number("SOURCE_DATE_EPOCH", f"an integer in [0, {_LAST_EPOCH}]",
-                 lambda v: 0 <= v <= _LAST_EPOCH, int)
+_EPOCH = _number("SOURCE_DATE_EPOCH",
+                 (f"an integer in [0, {_LAST_EPOCH}]", lambda v: 0 <= v <= _LAST_EPOCH), int)
 
 
 def _timestamp() -> str:
@@ -238,7 +236,7 @@ def _simulation_inputs(args, noise: dict) -> tuple[ModelConfig, dict, tuple, flo
     luts = tuple(_read(f"{side} LUT", path, lut_from_csv) if path else None
                  for side, path in (("input", args.input_lut), ("weight", args.weight_lut)))
     _check_out(args.out)
-    photons = _PHOTONS(args.photons)
+    photons = _number("--photons", POSITIVE_OR_INF)(args.photons)
     _keep_freed_pages()
     return (config, resolved, luts, photons,
             init_weights(config, args.seed), make_input(config, args.seed))
@@ -385,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
         return argparse.ArgumentParser(add_help=False, allow_abbrev=False)
 
     common = group()
-    common.add_argument("--seed", type=_number("--seed", *_SEED), default=0,
+    common.add_argument("--seed", type=_number("--seed", SEED, int), default=0,
                         help="RNG seed (u64)")
     common.add_argument("--out", default=".", help="output directory (default: cwd)")
     common.add_argument("--format", choices=("json", "csv", "both"), default="both")
@@ -412,36 +410,36 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("energy", cmd_energy, [models, costing, pricing],
                 "per-inference energy report and advantage")
     p.add_argument("--future", action="store_true", help="apply the future-electronics profile")
-    p.add_argument("--baseline", default=None, type=_number("--baseline", *_POSITIVE),
+    p.add_argument("--baseline", default=None, type=_number("--baseline", POSITIVE),
                    help="extra digital baseline in J/MAC")
 
     p = command("requirements", cmd_requirements, [models, costing],
                 "hardware requirement table")
-    p.add_argument("--core-size", default=1e7, type=_number("--core-size", *_POSITIVE),
+    p.add_argument("--core-size", default=1e7, type=_number("--core-size", POSITIVE),
                    help="weights per MVM core (default 1e7)")
 
     p = command("chunking", cmd_chunking, [models, costing, pricing],
                 "chunked weight-streaming advantage curves")
     p.add_argument("--memory", default="1e8", help="comma list of weight-memory capacities",
-                   type=_number("--memory", *_POSITIVE, many=True))
+                   type=_number("--memory", POSITIVE, many=True))
     p.add_argument("--batch", default="1", help="comma list of batch sizes",
-                   type=_number("--batch", *_AT_LEAST_ONE, many=True))
+                   type=_number("--batch", AT_LEAST_ONE, many=True))
     p.add_argument("--dram-j-per-bit", default=1e-12,
-                   type=_number("--dram-j-per-bit", *_NON_NEGATIVE))
+                   type=_number("--dram-j-per-bit", NON_NEGATIVE))
 
     p = command("simulate", cmd_simulate, [models, simulation], "digital vs optical forward pass")
     p.add_argument("--ff-noise", default=0.0, help="systematic %% on FF products",
-                   type=_number("--ff-noise", *_NON_NEGATIVE))
+                   type=_number("--ff-noise", NON_NEGATIVE))
     p.add_argument("--attn-noise", default=0.0, help="systematic %% on attention products",
-                   type=_number("--attn-noise", *_NON_NEGATIVE))
+                   type=_number("--attn-noise", NON_NEGATIVE))
 
     p = command("sweep", cmd_sweep, [models, simulation], "noise-tolerance deviation surface")
     p.add_argument("--ff-grid", default="0,1,2,5", help="comma list of FF noise percents",
-                   type=_number("--ff-grid", *_NON_NEGATIVE, many=True))
+                   type=_number("--ff-grid", NON_NEGATIVE, many=True))
     p.add_argument("--attn-grid", default="0,1,2,5", help="comma list of attention noise percents",
-                   type=_number("--attn-grid", *_NON_NEGATIVE, many=True))
+                   type=_number("--attn-grid", NON_NEGATIVE, many=True))
     p.add_argument("--seeds", default="0", help="comma list of seeds",
-                   type=_number("--seeds", *_SEED, many=True))
+                   type=_number("--seeds", SEED, int, many=True))
 
     command("catalogue", cmd_catalogue, [], "list/export the model catalogue")
     return parser

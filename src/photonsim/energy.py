@@ -15,7 +15,8 @@ from functools import lru_cache
 from itertools import chain
 from operator import itemgetter
 
-from .arch import ModelConfig, compute_breakdown, json_fields, PRODUCT_CLASSES, WEIGHT_MATRICES
+from .arch import (AT_LEAST_ONE, COUNT, NON_NEGATIVE, POSITIVE, ModelConfig, PRODUCT_CLASSES,
+                   WEIGHT_MATRICES, check_number, compute_breakdown, json_fields)
 
 LAYER_CLASSES = PRODUCT_CLASSES + ("digital_fns",)
 CATEGORIES = ("electrical_load", "electrical_detect", "optical", "maintenance", "digital")
@@ -45,14 +46,8 @@ class HardwareProfile:
     mem_bits_per_scalar: int = 8    # memory traffic billed at 8 bits/scalar
 
     def __post_init__(self) -> None:
-        # by declared type; a bool (json `true`) is neither a float nor an int here
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type == "int":
-                if type(value) is not int or value < 1:
-                    raise ValueError(f"{f.name} must be an integer >= 1, got {value!r}")
-            elif isinstance(value, bool) or not 0 <= value < math.inf:  # NaN fails too
-                raise ValueError(f"{f.name} must be finite and >= 0, got {value!r}")
+        for f in fields(self):  # by declared type
+            check_number(f.name, getattr(self, f.name), COUNT if f.type == "int" else NON_NEGATIVE)
 
     @property
     def load_cost(self) -> float:
@@ -115,19 +110,13 @@ class PhotonPolicy:
     def __post_init__(self) -> None:
         if self.scaling not in ("inverse_d", "constant", "table"):
             raise ValueError(f"scaling must be inverse_d/constant/table, got {self.scaling!r}")
-        if type(self.reference_d) is not int or self.reference_d < 1:
-            raise ValueError(f"reference_d must be an integer >= 1, got {self.reference_d!r}")
-        reference = self.reference_photons_per_mac
-        if isinstance(reference, bool) or not 0 < reference < math.inf:
-            raise ValueError(f"reference_photons_per_mac must be finite and > 0, got {reference!r}")
+        check_number("reference_d", self.reference_d, COUNT)
+        check_number("reference_photons_per_mac", self.reference_photons_per_mac, POSITIVE)
         if self.scaling == "table" and not self.table:
             raise ValueError("table scaling requires a non-empty table")
         for d, photons in (self.table or {}).items():
-            if type(d) is not int or d < 1:  # bool is an int subclass
-                raise ValueError(f"table keys must be integer model dimensions >= 1, got {d!r}")
-            if isinstance(photons, bool) or not 0 < float(photons) < math.inf:
-                raise ValueError(f"table photons per MAC at d={d} must be finite and > 0, "
-                                 f"got {photons!r}")
+            check_number("each table key", d, COUNT)
+            check_number(f"table photons per MAC at d={d}", photons, POSITIVE)
 
     def photons_per_mac(self, d: int) -> float:
         if self.scaling == "inverse_d":
@@ -146,8 +135,10 @@ class PhotonPolicy:
         if table is not None:
             if not isinstance(table, dict):
                 raise ValueError(f"policy table must be a JSON object, got {type(table).__name__}")
-            # JSON object keys are text; any other key is checked as given
-            data["table"] = {int(k) if isinstance(k, str) else k: v for k, v in table.items()}
+            # JSON object keys are text: plain decimal digits read as an integer,
+            # and any other key is checked as given
+            data["table"] = {int(k) if isinstance(k, str) and k.isascii() and k.isdigit()
+                             else k: v for k, v in table.items()}
         return cls(**data)
 
 
@@ -267,12 +258,8 @@ class ChunkingScenario:
     batch_size: float = 1.0
 
     def __post_init__(self) -> None:
-        # as in HardwareProfile, a bool is no number here and NaN fails the bounds
-        memory, batch = self.memory_capacity_weights, self.batch_size
-        if isinstance(memory, bool) or not 0 < memory < math.inf:
-            raise ValueError(f"memory_capacity_weights must be finite and > 0, got {memory!r}")
-        if isinstance(batch, bool) or not 1 <= batch < math.inf:
-            raise ValueError(f"batch_size must be finite and >= 1, got {batch!r}")
+        check_number("memory_capacity_weights", self.memory_capacity_weights, POSITIVE)
+        check_number("batch_size", self.batch_size, AT_LEAST_ONE)
 
     def chunks(self, layer_weight_count: int) -> int:
         return max(1, math.ceil(layer_weight_count / self.memory_capacity_weights))

@@ -17,6 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .arch import COUNT, NON_NEGATIVE, POSITIVE_OR_INF, SEED, check_number
 from .artifacts import write_csv
 
 QUANTIZER_MODES = ("percentile", "lut")
@@ -46,9 +47,8 @@ _SNAP_BLOCK = 1 << 15
 
 def _seed_sequence(seed: int, keys: tuple) -> np.random.SeedSequence:
     entropy = (seed, *keys)
-    for value in entropy:  # int() would truncate a float; bool is an int subclass
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ValueError(f"seeds and keys must be integers, got {value!r}")
+    for value in entropy:  # int() would truncate a float
+        check_number("each seed and key", value, SEED)
     return np.random.SeedSequence([int(value) for value in entropy])
 
 
@@ -168,10 +168,9 @@ class QuantizerSpec:
             raise ValueError(f"mode must be one of {QUANTIZER_MODES}, got {self.mode!r}")
         if self.rounding not in ROUNDING_MODES:
             raise ValueError(f"rounding must be one of {ROUNDING_MODES}, got {self.rounding!r}")
-        if type(self.bits) is not int or self.bits < 1:  # bool is an int subclass
-            raise ValueError(f"bits must be an integer >= 1, got {self.bits!r}")
-        if isinstance(self.clip_percentile, bool) or not 0 < self.clip_percentile <= 100:
-            raise ValueError(f"clip_percentile must be in (0, 100], got {self.clip_percentile!r}")
+        check_number("bits", self.bits, COUNT)
+        check_number("clip_percentile", self.clip_percentile,
+                     ("in (0, 100]", lambda v: 0 < v <= 100))
 
 
 def _bracket(x: np.ndarray, levels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -423,15 +422,10 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        percents = (self.systematic_percent_ff, self.systematic_percent_attn)
-        # bool is an int subclass: true would read as 1
-        if any(isinstance(p, bool) or not 0 <= p < math.inf for p in percents):
-            raise ValueError("systematic percentages must be finite and >= 0")
-        if isinstance(self.photons_per_mac, bool) or not self.photons_per_mac > 0:
-            raise ValueError(f"photons_per_mac must be > 0 or inf, got {self.photons_per_mac}")
-        if (isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer))
-                or self.seed < 0):
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        check_number("systematic_percent_ff", self.systematic_percent_ff, NON_NEGATIVE)
+        check_number("systematic_percent_attn", self.systematic_percent_attn, NON_NEGATIVE)
+        check_number("photons_per_mac", self.photons_per_mac, POSITIVE_OR_INF)
+        check_number("seed", self.seed, SEED)
 
 
 def apply_shot_noise(outputs, photons_per_mac: float, macs_per_output: int, seed=None) -> np.ndarray:
@@ -504,8 +498,7 @@ def _gaussian_shot_product(w: np.ndarray, x: np.ndarray, photons_per_mac: float,
 def apply_systematic_noise(outputs, percent: float, seed=None) -> np.ndarray:
     """Add zero-mean Gaussian noise with std = (percent/100) * mean(|outputs|)."""
     outputs = np.asarray(outputs, dtype=float)
-    if percent < 0:
-        raise ValueError(f"percent must be >= 0, got {percent}")
+    check_number("percent", percent, NON_NEGATIVE)
     if percent == 0:
         return outputs.copy()
     sigma = (percent / 100.0) * np.abs(outputs).mean() if outputs.size else 0.0

@@ -128,7 +128,7 @@ def test_config_validation():
     for field in range(4):  # bool is an int subclass, but no shape
         shape = [4, 8, 2, 1]
         shape[field] = True
-        with pytest.raises(ValueError, match="positive integer"):
+        with pytest.raises(ValueError, match="an integer >= 1"):
             ModelConfig("t", *shape)
 
 

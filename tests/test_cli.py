@@ -543,10 +543,14 @@ BAD_CONTENTS = {  # failure -> contents per kind; profiles and policies need no 
 BAD_CONTENTS.update({  # values out of range or of the wrong type; json reads NaN, Infinity
     **{f"table_{name}": {"policy": '{"scaling": "table", "table": {"768": %s}}' % value}
        for name, value in [("nan", "NaN"), ("inf", "Infinity"), ("minus_inf", "-Infinity"),
-                           ("zero", "0"), ("negative", "-5"), ("bool", "true")]},
+                           ("zero", "0"), ("negative", "-5"), ("bool", "true"),
+                           ("text", '"500"')]},
+    # a key is read as an integer only when it is plain ASCII decimal digits
     **{f"table_key_{name}": {"policy": json.dumps({"scaling": "table",
                                                    "table": {"768": 500, key: 5}})}
-       for name, key in [("zero", "0"), ("negative", "-3")]},
+       for name, key in [("zero", "0"), ("negative", "-3"), ("underscore", "7_68"),
+                         ("space", " 768"), ("plus", "+768"),
+                         ("arabic_indic", "\u0667\u0666\u0668")]},
     "table_misses_d": {"policy": '{"scaling": "table", "table": {"192": 120}}'},  # d is 768
     "reference_d_fraction": {"policy": '{"reference_d": 5.5}'},
     "reference_photons_inf": {"policy": '{"reference_photons_per_mac": Infinity}'},

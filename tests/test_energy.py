@@ -105,11 +105,11 @@ def test_policy_validation_and_json():
 def test_policy_table_keys_are_model_dimensions():
     # a key that is no dimension d >= 1 could only ever miss photons_per_mac's lookup
     for key in (True, 0, -3, "192", 192.5):
-        with pytest.raises(ValueError, match="table keys"):
+        with pytest.raises(ValueError, match="table key"):
             PhotonPolicy(scaling="table", table={768: 500.0, key: 5.0})
     # a parsed key that is not text is checked as given
     for table in ({"768": 500, "0": 5}, {"768": 500, "-3": 1}, {"768": 500, True: 5}):
-        with pytest.raises(ValueError, match="table keys"):
+        with pytest.raises(ValueError, match="table key"):
             PhotonPolicy.from_json({"scaling": "table", "table": table})
 
 

@@ -599,6 +599,13 @@ def test_systematic_noise_zero_percent():
         apply_systematic_noise(outputs, -1.0)
 
 
+@pytest.mark.parametrize("percent", [math.nan, math.inf, -math.inf, True])
+def test_systematic_noise_rejects_a_percent_that_is_no_finite_number(percent):
+    # a NaN or inf percent would make every output NaN or inf
+    with pytest.raises(ValueError, match="percent must be finite and >= 0"):
+        apply_systematic_noise(np.ones(3), percent, seed=0)
+
+
 # --------------------------------------------------------------------------
 # NoiseSpec
 
@@ -625,9 +632,10 @@ def test_noise_spec_rejects_non_finite_percent(field, value):
 
 @pytest.mark.parametrize("fields, match", [
     ({"photons_per_mac": True}, "photons_per_mac"),
-    ({"systematic_percent_ff": True}, "percentages"),
-    ({"systematic_percent_attn": False}, "percentages"),
-    ({"photons_per_mac": True, "systematic_percent_ff": True, "seed": 2.5}, "percentages"),
+    ({"systematic_percent_ff": True}, "systematic_percent_ff"),
+    ({"systematic_percent_attn": False}, "systematic_percent_attn"),
+    ({"photons_per_mac": True, "systematic_percent_ff": True, "seed": 2.5},
+     "systematic_percent_ff"),
     ({"photons_per_mac": 10, "seed": 2.5}, "seed"),
     ({"seed": True}, "seed"),
     ({"seed": -1}, "seed"),

@@ -93,7 +93,7 @@ def test_seeds_and_keys_must_be_integers(bad):
                  lambda: noise_sweep(TINY, wts, x, [0.0], [0.0], seeds=[bad]),
                  lambda: derive_seed(bad, 1), lambda: derive_seed(3, bad),
                  lambda: derive_rng(bad), lambda: derive_rng(3, 1, bad)):
-        with pytest.raises(ValueError, match="must be integers"):
+        with pytest.raises(ValueError, match="must be a non-negative integer"):
             call()
     assert derive_seed(np.uint64(3), np.int32(1)) == derive_seed(3, 1)
     assert np.array_equal(make_input(TINY, np.int64(3)), make_input(TINY, 3))
