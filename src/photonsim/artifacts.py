@@ -24,9 +24,10 @@ _INDENT = "  "
 
 
 class _Pieces(list):
-    """A JSON text kept as a list of strings that are never joined: blocks of
-    rows of arrays, written to the file one at a time. A string added in
-    front of it (a dict key) becomes its first piece."""
+    """A JSON text kept as a list of pieces that are never joined: strings,
+    and iterators that format an array's rows a block at a time as the file
+    is written. A string added in front of it (a dict key) becomes its first
+    piece."""
 
     def __radd__(self, prefix: str) -> "_Pieces":
         return _Pieces([prefix, *self])
@@ -166,10 +167,10 @@ def _rows_text(block: np.ndarray, cells: np.ndarray, head: str, tail: str) -> st
     return text.tobytes().translate(None, b"\0").decode("ascii")
 
 
-def _matrix_text(a: np.ndarray, depth: int) -> _Pieces:
+def _matrix_text(a: np.ndarray, depth: int):
     """The text of a.tolist() at nesting `depth` for a non-empty 2-D float64
-    array `a`, laid out by numpy a block of rows at a time: one piece per
-    block."""
+    array `a`, laid out by numpy a block of rows at a time: yields one
+    string per block, each formatted when it is asked for."""
     np = sys.modules["numpy"]
     layouts = _layouts()
     separator = np.frombuffer(("\n" + _INDENT * (depth + 2)).encode("ascii"), np.uint8)
@@ -178,12 +179,11 @@ def _matrix_text(a: np.ndarray, depth: int) -> _Pieces:
     rows, cols = a.shape
     step = max(1, _BLOCK // cols)
     pad = "\n" + _INDENT * (depth + 1)
-    pieces = _Pieces(["["])
+    yield "["
     for start in range(0, rows, step):
-        pieces.append(_rows_text(a[start:start + step], cells, pad + "[", pad + "],"))
-    pieces[-1] = pieces[-1][:-1]  # no comma after the last row
-    pieces.append("\n" + _INDENT * depth + "]")
-    return pieces
+        text = _rows_text(a[start:start + step], cells, pad + "[", pad + "],")
+        yield text if start + step < rows else text[:-1]  # no comma after the last row
+    yield "\n" + _INDENT * depth + "]"
 
 
 _SCALARS = {float: _float_text, str: encode_basestring_ascii, int: int.__repr__}
@@ -211,7 +211,7 @@ def _encode(obj, depth: int):
         np = sys.modules.get("numpy")  # no ndarray exists before numpy is imported
         if np is not None and isinstance(obj, np.ndarray):
             if type(obj) is np.ndarray and obj.dtype == np.float64 and obj.ndim == 2 and obj.size:
-                return _matrix_text(obj, depth)
+                return _Pieces([_matrix_text(obj, depth)])
             return _encode(obj.tolist(), depth)
         if not isinstance(obj, (list, tuple, dict)):
             raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
@@ -229,14 +229,17 @@ def _encode(obj, depth: int):
     return _block(items, depth, "{}")
 
 
-def _atomic_write(path: str, pieces: list[str]) -> None:
-    """Write the concatenated `pieces` to `path` through a temporary file."""
+def _atomic_write(path: str, pieces: list) -> None:
+    """Write the concatenated `pieces`, strings and iterators of strings, to
+    `path` through a temporary file, each string as it comes. If making or
+    writing one raises, the file at `path` is left as it was."""
     # created through the umask like a plain open(); O_EXCL never reuses a stray file
     tmp = os.path.join(os.path.dirname(path) or ".", f".tmp-{os.urandom(8).hex()}")
     fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.writelines(pieces)
+            for piece in pieces:
+                fh.writelines([piece] if type(piece) is str else piece)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

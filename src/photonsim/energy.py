@@ -243,8 +243,7 @@ def advantage(config: ModelConfig, profile: HardwareProfile | None = None,
               policy: PhotonPolicy | None = None,
               digital_j_per_mac: float = DIGITAL_BASELINES["a100"]) -> float:
     """Energy ratio of a flat per-MAC digital system to the optical system."""
-    if not digital_j_per_mac > 0:
-        raise ValueError("digital_j_per_mac must be > 0")
+    check_number("digital_j_per_mac", digital_j_per_mac, POSITIVE)
     report = total_energy(config, profile, policy, baselines={"digital": digital_j_per_mac})
     return report.advantages()["digital"]
 

@@ -109,12 +109,10 @@ def lut_synthesize(unique_levels: int, total_levels: int, floor: float = 0.0) ->
     """Build an idealized LUT: `unique_levels` values uniformly spaced in
     [floor, 1], padded to `total_levels` entries by nearest-level duplicates.
     """
-    if unique_levels < 1:
-        raise ValueError("unique_levels must be >= 1")
+    check_number("unique_levels", unique_levels, COUNT)
     if total_levels < unique_levels:
         raise ValueError("total_levels must be >= unique_levels")
-    if not 0 <= floor < 1:
-        raise ValueError(f"floor must be in [0, 1), got {floor}")
+    check_number("floor", floor, ("in [0, 1)", lambda v: 0 <= v < 1))
     if unique_levels == 1:
         return LookupTable(levels=np.ones(total_levels))
     uniq = np.linspace(floor, 1.0, unique_levels)
@@ -438,10 +436,8 @@ def apply_shot_noise(outputs, photons_per_mac: float, macs_per_output: int, seed
     outputs = np.asarray(outputs, dtype=float)
     if np.any(outputs < 0):
         raise ValueError("shot noise is only defined on non-negative intensities")
-    if not photons_per_mac > 0:
-        raise ValueError(f"photons_per_mac must be > 0, got {photons_per_mac}")
-    if macs_per_output < 1:
-        raise ValueError(f"macs_per_output must be >= 1, got {macs_per_output}")
+    check_number("photons_per_mac", photons_per_mac, POSITIVE_OR_INF)
+    check_number("macs_per_output", macs_per_output, COUNT)
     if math.isinf(photons_per_mac):
         return outputs.copy()
     mean = outputs.mean()
@@ -457,7 +453,7 @@ def apply_shot_noise(outputs, photons_per_mac: float, macs_per_output: int, seed
     return rng.poisson(outputs * scale) / scale
 
 
-def _gaussian_shot_product(w: np.ndarray, x: np.ndarray, photons_per_mac: float,
+def _gaussian_shot_product(operands: list, photons_per_mac: float,
                            rng: np.random.Generator) -> np.ndarray:
     """W @ X with the shot noise of the four passes drawn as one Gaussian per output.
 
@@ -469,28 +465,40 @@ def _gaussian_shot_product(w: np.ndarray, x: np.ndarray, photons_per_mac: float,
           = [|W|  W] @ [(c1 + c2) X+ + (c3 + c4) X-; (c1 - c2) X+ + (c3 - c4) X-] / 2,
     as W+ = (|W| + W) / 2 and W- = (|W| - W) / 2. Each mean(p_i) is the
     column sums of its left operand dotted with the row sums of its right.
+
+    `operands` is the list [W, X], which this takes over and empties, so
+    that each array is freed after its last read unless the caller holds
+    it elsewhere.
     """
+    w, x = operands
+    operands.clear()
     (m, macs_per_output), p = w.shape, x.shape[1]
+    product = w @ x
     x_pos, x_neg = _sign_split(x)
+    del x
     left = np.empty_like(w, shape=(m, 2 * macs_per_output))  # [|W|  W], in w's memory order
     abs_w, signed_w = left[:, :macs_per_output], left[:, macs_per_output:]
     np.abs(w, out=abs_w)
     signed_w[...] = w
+    del w
     col_abs, col_signed = abs_w.sum(axis=0), signed_w.sum(axis=0)
     cols = ((col_abs + col_signed) / 2, (col_abs - col_signed) / 2)  # of W+ and W-
     rows = (x_pos.sum(axis=1), x_neg.sum(axis=1))  # of X+ and X-
     photons = m * p * photons_per_mac * macs_per_output  # N times the outputs
     (c1, c3), (c2, c4) = [[col @ row / photons for row in rows] for col in cols]
     right = np.empty((2 * macs_per_output, p))
-    for out, a, b in ((right[:macs_per_output], c1 + c2, c3 + c4),
-                      (right[macs_per_output:], c1 - c2, c3 - c4)):
-        np.multiply(x_pos, a / 2, out=out)
-        out += (b / 2) * x_neg
+    top, bottom = right[:macs_per_output], right[macs_per_output:]
+    np.multiply(x_pos, (c1 + c2) / 2, out=top)
+    np.multiply(x_pos, (c1 - c2) / 2, out=bottom)
+    # x_pos, then x_neg, hold the X- terms: x_neg * b is (b * x_neg)'s bits
+    top += np.multiply(x_neg, (c3 + c4) / 2, out=x_pos)
+    bottom += np.multiply(x_neg, (c3 - c4) / 2, out=x_neg)
+    del x_pos, x_neg
     noise = left @ right  # the variance
+    del left, right, abs_w, signed_w
     np.fmax(noise, 0.0, out=noise)  # rounding can take a zero variance below 0
     np.sqrt(noise, out=noise)
     noise *= rng.standard_normal(noise.shape)
-    product = w @ x
     product += noise
     return product
 
@@ -562,7 +570,9 @@ def optical_matmul(w, x, noise: NoiseSpec | None = None,
         budget = noise.photons_per_mac
         macs_per_output = w.shape[1]
         if budget * macs_per_output >= GAUSSIAN_SHOT_PHOTONS:
-            product = _gaussian_shot_product(w, x, budget, rng)
+            operands = [w, x]
+            del w, x  # so that the product frees each after its last read
+            product = _gaussian_shot_product(operands, budget, rng)
         else:
             # apply_shot_noise's largest Poisson mean is N = budget *
             # macs_per_output < GAUSSIAN_SHOT_PHOTONS times the pass's max

@@ -25,6 +25,7 @@ from photonsim import (ChunkingScenario, DIGITAL_BASELINES, HardwareProfile, Mod
                        advantage, builtin_catalogue, chunked_onn_energy, compute_breakdown,
                        find_model, future_profile, init_weights, lut_synthesize,
                        save_lut, total_energy)
+import photonsim.artifacts
 import photonsim.cli
 import photonsim.txsim
 from photonsim.artifacts import _non_finite
@@ -1101,6 +1102,20 @@ def test_vectorized_float_text_matches_reference(tmp_path, values, width, tall, 
         for _ in range(depth):
             written, expected = [written], [expected]
         assert_written_like_reference(tmp_path / "doc.json", expected, written=written)
+
+
+def test_write_json_streams_a_document_of_several_arrays(tmp_path):
+    # as a trace: arrays at two depths, one tall enough to cross a block of
+    # rows, and `final` the same object as post_ff[-1]
+    rng = np.random.default_rng(23)
+    width = 8
+    tall = rng.normal(size=(photonsim.artifacts._BLOCK // width + 3, width))
+    post_ff = [rng.normal(size=(4, width)), np.asfortranarray(rng.normal(size=(5, width)))]
+    doc = {"config": {"name": "t", "n": 4}, "post_attention": [tall, rng.normal(size=(1, 1))],
+           "post_ff": post_ff, "final": post_ff[-1], "mean_abs": [0.5, 1.25], "seed": 9}
+    lists = dict(doc, post_attention=[a.tolist() for a in doc["post_attention"]],
+                 post_ff=[a.tolist() for a in post_ff], final=post_ff[-1].tolist())
+    assert_written_like_reference(tmp_path / "doc.json", lists, written=doc)
 
 
 class Level(enum.IntEnum):

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from photonsim import (ChunkingScenario, HardwareProfile, ModelConfig, NoiseSpec, PhotonPolicy,
-                       QuantizerSpec, apply_systematic_noise, derive_seed, hardware_requirements)
+                       QuantizerSpec, advantage, apply_shot_noise, apply_systematic_noise,
+                       derive_seed, hardware_requirements, lut_synthesize)
 from photonsim.cli import main
 
 TINY = {"name": "tiny", "n": 8, "d": 16, "h": 2, "L": 2}
@@ -36,6 +37,7 @@ ACCEPTS = {
     "finite and >= 1": _FINITE_AT_LEAST_ONE,
     "> 0 or inf": _FINITE_POSITIVE | {"inf"},
     "in (0, 100]": _FINITE_POSITIVE - {"101.0"},
+    "in [0, 1)": {"0", "0.5"},
 }
 
 
@@ -77,6 +79,14 @@ LIBRARY_INPUTS = {  # input -> (call with the value, rule)
         lambda v: hardware_requirements(ModelConfig(**TINY), v), "finite and > 0"),
     "apply_systematic_noise percent": (
         lambda v: apply_systematic_noise(np.ones(3), v, seed=0), "finite and >= 0"),
+    "apply_shot_noise photons_per_mac": (
+        lambda v: apply_shot_noise(np.ones(3), v, 1, seed=0), "> 0 or inf"),
+    "apply_shot_noise macs_per_output": (
+        lambda v: apply_shot_noise(np.ones(3), 100.0, v, seed=0), "an integer >= 1"),
+    "lut_synthesize unique_levels": (lambda v: lut_synthesize(v, 100), "an integer >= 1"),
+    "lut_synthesize floor": (lambda v: lut_synthesize(4, 8, v), "in [0, 1)"),
+    "advantage digital_j_per_mac": (
+        lambda v: advantage(ModelConfig(**TINY), digital_j_per_mac=v), "finite and > 0"),
     "derive_seed seed": (lambda v: derive_seed(v, 1), "a non-negative integer"),
     "derive_seed key": (lambda v: derive_seed(3, v), "a non-negative integer"),
 }

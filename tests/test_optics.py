@@ -1,5 +1,6 @@
 """Physics layer: LUTs, quantization, four-pass products, shot/systematic noise."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -838,6 +839,26 @@ def test_optical_matmul_gaussian_path_matches_plain_formulas(luts, percent, kind
         want = want + (sigma * want_rng.standard_normal(want.shape) + 0.0)
     assert got.tobytes() == want.tobytes() and got.strides == want.strides
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def test_optical_matmul_gaussian_path_frees_each_operand_after_its_last_read():
+    # the ff2 product of the benchmark's simulate (n=128, d=256), as the
+    # backend hands it over: weights-left, both operands in F order. Holding
+    # the snapped operands, [|W| W] and the right operand at once reads 6x
+    # w.nbytes; freeing each after its last read, about 4.2x
+    rng = derive_rng(35)
+    w = rng.normal(size=(1024, 256)).T
+    x = rng.normal(size=(128, 1024)).T
+    in_lut, w_lut = lut_synthesize(32, 256, floor=0.004), lut_synthesize(128, 256, floor=0.002)
+    noise = NoiseSpec(systematic_percent_ff=1.0, photons_per_mac=1000.0)
+    optical_matmul(w, x, noise, input_lut=in_lut, weight_lut=w_lut, seed=0)  # builds the tables
+    tracemalloc.start()
+    try:
+        optical_matmul(w, x, noise, input_lut=in_lut, weight_lut=w_lut, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * w.nbytes, peak / w.nbytes
 
 
 def test_optical_matmul_gaussian_matches_poisson_statistics():

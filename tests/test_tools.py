@@ -1,5 +1,8 @@
-"""The repository's tools: the code-line count of a package, and the
-statements of a package that a pytest run never executes."""
+"""The repository's tools: the code-line count of a package, the statements
+of a package that a pytest run never executes, and the benchmark's
+alternating pairs."""
+import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -7,6 +10,7 @@ import sys
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 CODE_LINES = ROOT / "tools" / "code_lines.py"
 STMT_COVERAGE = ROOT / "tools" / "stmt_coverage.py"
+BENCH_PAIRS = ROOT / "tools" / "bench_pairs.py"
 
 SAMPLE = '''"""A module docstring
 over two lines."""
@@ -100,3 +104,69 @@ def test_stmt_coverage_lists_the_statements_no_test_runs(tmp_path):
         "twofuncs/__init__.py:19: return total",
         "5 of 12 statements never ran",
     ]
+
+
+FAKE_RUN = '''import json, os, sys
+args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
+side = os.path.basename(os.getcwd())
+with open(os.path.join(os.path.dirname(os.getcwd()), "log"), "a") as fh:
+    fh.write(f"{side} {args['--workload']} {args['--seed']} {args['--seconds']} {args['--trace']}\\n")
+seed = int(args["--seed"])
+if side == "change" and seed == int(os.environ.get("FAIL_SEED", -1)):
+    sys.exit("perfbench: failed")
+print("setup_in_process_s: 0.1 s")
+print("machine: " + json.dumps({"cpu_count": 2, "python": "3"}))
+# the change reads lower in every pair but the first
+rss = seed % 100 + (0.5 if side == "parent" or seed % 100 == 0 else 0.0)
+print(json.dumps({"correct": True, "attempted": 3, "failed": 0, "metrics": {
+    "wall_s": {"value": 0.25, "unit": "s"}, "peak_rss_mb": {"value": rss, "unit": "MB"}}}))
+'''
+
+
+def _fake_checkouts(tmp_path):
+    for side in ("parent", "change"):
+        (tmp_path / side / "perfbench").mkdir(parents=True)
+        (tmp_path / side / "perfbench" / "run.py").write_text(FAKE_RUN, encoding="utf-8")
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps({
+        "workloads": [{"name": "alpha"}, {"name": "beta"}],
+        "end_to_end": [{"name": "wall_s"}, {"name": "peak_rss_mb"}]}), encoding="utf-8")
+
+
+def _bench_pairs(tmp_path, *args, env=None):
+    return subprocess.run([sys.executable, str(BENCH_PAIRS), "--parent", str(tmp_path / "parent"),
+                           "--change", str(tmp_path / "change"), "--out", str(tmp_path / "out.json"),
+                           "--seed", "500", "--seconds", "2", *args],
+                          capture_output=True, text=True, env=dict(os.environ, **(env or {})))
+
+
+def test_bench_pairs_alternates_the_checkouts_and_summarizes_the_pairs(tmp_path):
+    _fake_checkouts(tmp_path)
+    proc = _bench_pairs(tmp_path, "--pairs", "4")
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "log").read_text().splitlines() == [
+        f"{side} {workload} {seed} 2.0 0"
+        for workload, base in (("alpha", 500), ("beta", 600)) for j in range(4)
+        for seed in [base + j]
+        for side in (("parent", "change") if j % 2 == 0 else ("change", "parent"))]
+    result = json.loads((tmp_path / "out.json").read_text())
+    assert result["machine"] == {"cpu_count": 2, "python": "3"}
+    alpha = result["workloads"]["alpha"]
+    assert [(p["seed"], p["first"]) for p in alpha["pairs"]] == [
+        (500, "parent"), (501, "change"), (502, "parent"), (503, "change")]
+    assert alpha["pairs"][1]["parent"]["metrics"]["peak_rss_mb"]["value"] == 1.5
+    assert alpha["summary"]["peak_rss_mb"] == {
+        "parent": {"q1": 1.25, "median": 2.0, "q3": 2.75},
+        "change": {"q1": 0.875, "median": 1.5, "q3": 2.25},
+        "change_lower_in": "3/4"}
+    assert alpha["summary"]["wall_s"]["change_lower_in"] == "0/4"
+    assert list(result["workloads"]) == ["alpha", "beta"]
+
+
+def test_bench_pairs_stops_on_a_failed_run_and_writes_nothing(tmp_path):
+    _fake_checkouts(tmp_path)
+    proc = _bench_pairs(tmp_path, "--pairs", "2", "--workload", "beta", env={"FAIL_SEED": "501"})
+    assert proc.returncode == 1
+    assert "exited 1" in proc.stderr and "perfbench: failed" in proc.stderr
+    assert not (tmp_path / "out.json").exists()
+    assert (tmp_path / "log").read_text().splitlines() == [
+        "parent beta 500 2.0 0", "change beta 500 2.0 0", "change beta 501 2.0 0"]

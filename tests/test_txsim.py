@@ -16,6 +16,7 @@ from photonsim import (DigitalBackend, ModelConfig, NoiseSpec, OpticalBackend,
                        trace_to_json_dict)
 from photonsim.arch import PRODUCT_CLASSES, WEIGHT_MATRICES
 from photonsim.artifacts import write_json
+import photonsim.artifacts
 import photonsim.cli
 import photonsim.txsim
 from photonsim.txsim import _layernorm, _relu6, _softmax
@@ -668,6 +669,38 @@ def test_save_trace_that_fails_leaves_no_file(tmp_path, bad):
     saved = path.read_bytes()
     with pytest.raises(TypeError):
         save_trace(path, broken)
+    assert path.read_bytes() == saved
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_trace_write_that_fails_part_way_leaves_no_file(tmp_path, monkeypatch):
+    # a trace is formatted as it is written: the third block of rows fails
+    # once the temporary file is open and two blocks have gone to it
+    def save_trace(path):
+        write_json(path, trace_to_json_dict(trace, TINY, 9))
+
+    def failing_rows_text(*args):
+        calls.append(sorted(p.name[:5] for p in tmp_path.iterdir()))
+        if len(calls) == 3:
+            raise RuntimeError("third block")
+        return rows_text(*args)
+
+    trace = forward(TINY, init_weights(TINY, 9), make_input(TINY, 9))
+    path = tmp_path / "trace.json"
+    rows_text = photonsim.artifacts._rows_text
+    monkeypatch.setattr(photonsim.artifacts, "_rows_text", failing_rows_text)
+    calls = []
+    with pytest.raises(RuntimeError, match="third block"):
+        save_trace(path)
+    assert calls == [[".tmp-"]] * 3
+    assert list(tmp_path.iterdir()) == []
+    monkeypatch.setattr(photonsim.artifacts, "_rows_text", rows_text)
+    save_trace(path)
+    saved = path.read_bytes()
+    monkeypatch.setattr(photonsim.artifacts, "_rows_text", failing_rows_text)
+    calls = []
+    with pytest.raises(RuntimeError, match="third block"):
+        save_trace(path)
     assert path.read_bytes() == saved
     assert list(tmp_path.iterdir()) == [path]
 
