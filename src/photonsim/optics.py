@@ -110,6 +110,7 @@ def lut_synthesize(unique_levels: int, total_levels: int, floor: float = 0.0) ->
     [floor, 1], padded to `total_levels` entries by nearest-level duplicates.
     """
     check_number("unique_levels", unique_levels, COUNT)
+    check_number("total_levels", total_levels, COUNT)
     if total_levels < unique_levels:
         raise ValueError("total_levels must be >= unique_levels")
     check_number("floor", floor, ("in [0, 1)", lambda v: 0 <= v < 1))
@@ -490,7 +491,8 @@ def _gaussian_shot_product(operands: list, photons_per_mac: float,
     top, bottom = right[:macs_per_output], right[macs_per_output:]
     np.multiply(x_pos, (c1 + c2) / 2, out=top)
     np.multiply(x_pos, (c1 - c2) / 2, out=bottom)
-    # x_pos, then x_neg, hold the X- terms: x_neg * b is (b * x_neg)'s bits
+    # x_pos, then x_neg, are reused as scratch for the X- terms; x_neg * s has
+    # the same bits as s * x_neg
     top += np.multiply(x_neg, (c3 + c4) / 2, out=x_pos)
     bottom += np.multiply(x_neg, (c3 - c4) / 2, out=x_neg)
     del x_pos, x_neg

@@ -84,6 +84,7 @@ LIBRARY_INPUTS = {  # input -> (call with the value, rule)
     "apply_shot_noise macs_per_output": (
         lambda v: apply_shot_noise(np.ones(3), 100.0, v, seed=0), "an integer >= 1"),
     "lut_synthesize unique_levels": (lambda v: lut_synthesize(v, 100), "an integer >= 1"),
+    "lut_synthesize total_levels": (lambda v: lut_synthesize(1, v), "an integer >= 1"),
     "lut_synthesize floor": (lambda v: lut_synthesize(4, 8, v), "in [0, 1)"),
     "advantage digital_j_per_mac": (
         lambda v: advantage(ModelConfig(**TINY), digital_j_per_mac=v), "finite and > 0"),

@@ -132,41 +132,42 @@ def _fake_checkouts(tmp_path):
         "end_to_end": [{"name": "wall_s"}, {"name": "peak_rss_mb"}]}), encoding="utf-8")
 
 
-def _bench_pairs(tmp_path, *args, env=None):
+def _bench_pairs(tmp_path, env=None):
     return subprocess.run([sys.executable, str(BENCH_PAIRS), "--parent", str(tmp_path / "parent"),
                            "--change", str(tmp_path / "change"), "--out", str(tmp_path / "out.json"),
-                           "--seed", "500", "--seconds", "2", *args],
+                           "--seed", "500"],
                           capture_output=True, text=True, env=dict(os.environ, **(env or {})))
 
 
 def test_bench_pairs_alternates_the_checkouts_and_summarizes_the_pairs(tmp_path):
     _fake_checkouts(tmp_path)
-    proc = _bench_pairs(tmp_path, "--pairs", "4")
+    proc = _bench_pairs(tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "log").read_text().splitlines() == [
-        f"{side} {workload} {seed} 2.0 0"
-        for workload, base in (("alpha", 500), ("beta", 600)) for j in range(4)
+        f"{side} {workload} {seed} 30 0"
+        for workload, base in (("alpha", 500), ("beta", 600)) for j in range(10)
         for seed in [base + j]
         for side in (("parent", "change") if j % 2 == 0 else ("change", "parent"))]
     result = json.loads((tmp_path / "out.json").read_text())
     assert result["machine"] == {"cpu_count": 2, "python": "3"}
     alpha = result["workloads"]["alpha"]
     assert [(p["seed"], p["first"]) for p in alpha["pairs"]] == [
-        (500, "parent"), (501, "change"), (502, "parent"), (503, "change")]
+        (500 + j, "parent" if j % 2 == 0 else "change") for j in range(10)]
     assert alpha["pairs"][1]["parent"]["metrics"]["peak_rss_mb"]["value"] == 1.5
+    # parent 0.5, 1.5, ..., 9.5; change 0.5, 1, 2, ..., 9
     assert alpha["summary"]["peak_rss_mb"] == {
-        "parent": {"q1": 1.25, "median": 2.0, "q3": 2.75},
-        "change": {"q1": 0.875, "median": 1.5, "q3": 2.25},
-        "change_lower_in": "3/4"}
-    assert alpha["summary"]["wall_s"]["change_lower_in"] == "0/4"
+        "parent": {"q1": 2.75, "median": 5.0, "q3": 7.25},
+        "change": {"q1": 2.25, "median": 4.5, "q3": 6.75},
+        "change_lower_in": "9/10"}
+    assert alpha["summary"]["wall_s"]["change_lower_in"] == "0/10"
     assert list(result["workloads"]) == ["alpha", "beta"]
 
 
 def test_bench_pairs_stops_on_a_failed_run_and_writes_nothing(tmp_path):
     _fake_checkouts(tmp_path)
-    proc = _bench_pairs(tmp_path, "--pairs", "2", "--workload", "beta", env={"FAIL_SEED": "501"})
+    proc = _bench_pairs(tmp_path, env={"FAIL_SEED": "501"})
     assert proc.returncode == 1
     assert "exited 1" in proc.stderr and "perfbench: failed" in proc.stderr
     assert not (tmp_path / "out.json").exists()
     assert (tmp_path / "log").read_text().splitlines() == [
-        "parent beta 500 2.0 0", "change beta 500 2.0 0", "change beta 501 2.0 0"]
+        "parent alpha 500 30 0", "change alpha 500 30 0", "change alpha 501 30 0"]

@@ -1,7 +1,7 @@
 """Run the benchmark in alternating pairs: a parent checkout against a change.
 
 For each workload and each pair, runs `perfbench/run.py --workload W --seed S
---seconds T --trace 0` once in each checkout, one process at a time, the
+--seconds SECONDS --trace 0` once in each checkout, one process at a time, the
 parent first on even pair indices and the change first on odd ones. Pair j
 of the i-th workload runs at seed SEED + 100 i + j on both sides. Each run's
 last line of standard output (its JSON result) is kept as it is.
@@ -15,11 +15,12 @@ or another machine, stops the tool with exit status 1 before OUT is written.
 Standard library only.
 
     python tools/bench_pairs.py --parent DIR --change DIR --out BENCH_N.json \\
-        --seed 23001 [--pairs 10] [--seconds 30] [--workload NAME ...]
+        --seed 23001
 
-The parent checkout can be a `git worktree` or a `git archive` of the
-parent commit. Workloads and metrics default to those the change's
-BENCHMARK.json declares.
+Every BENCH file follows one protocol: PAIRS pairs of SECONDS-second runs
+of every workload and end-to-end metric the change's BENCHMARK.json
+declares. The parent checkout can be a `git worktree` or a `git archive`
+of the parent commit.
 """
 from __future__ import annotations
 
@@ -31,12 +32,14 @@ import subprocess
 import sys
 
 SIDES = ("parent", "change")
+PAIRS = 10
+SECONDS = 30
 
 
-def _run(checkout: str, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
+def _run(checkout: str, workload: str, seed: int) -> tuple[dict, dict]:
     """The JSON result and the machine line of one benchmark run in `checkout`."""
     argv = [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
-            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+            "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"]
     proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.splitlines()
     if proc.returncode != 0 or not lines:
@@ -66,33 +69,33 @@ def summary(pairs: list[dict], metrics: list[str]) -> dict:
 
 
 def bench_pairs(parent: str, change: str, workloads: list[str], metrics: list[str],
-                seed: int, pairs: int, seconds: float) -> dict:
+                seed: int) -> dict:
     checkouts = {"parent": parent, "change": change}
     seen_machine = None
     result = {}
     for i, workload in enumerate(workloads):
         runs = []
-        for j in range(pairs):
+        for j in range(PAIRS):
             pair_seed = seed + 100 * i + j
             order = SIDES if j % 2 == 0 else SIDES[::-1]
             pair = {"seed": pair_seed, "first": order[0], "parent": None, "change": None}
             for side in order:
-                pair[side], machine = _run(checkouts[side], workload, pair_seed, seconds)
+                pair[side], machine = _run(checkouts[side], workload, pair_seed)
                 if seen_machine is None:
                     seen_machine = machine
                 elif machine != seen_machine:
                     raise RuntimeError(f"{side} {workload} seed {pair_seed} ran on "
                                        f"{machine}, not {seen_machine}")
             runs.append(pair)
-            print(f"{workload} pair {j + 1}/{pairs} (seed {pair_seed}) done", file=sys.stderr)
+            print(f"{workload} pair {j + 1}/{PAIRS} (seed {pair_seed}) done", file=sys.stderr)
         result[workload] = {"pairs": runs, "summary": summary(runs, metrics)}
-    seeds = ", ".join(f"{seed + 100 * i}-{seed + 100 * i + pairs - 1} ({w})"
+    seeds = ", ".join(f"{seed + 100 * i}-{seed + 100 * i + PAIRS - 1} ({w})"
                       for i, w in enumerate(workloads))
     return {
         "description": (
             f"perfbench/run.py in a parent checkout and in the change, on one machine, "
             f"alternating which side runs first (the parent first on even pair indices). "
-            f"Untraced runs: --seconds {seconds:g} --trace 0, one process each; each entry "
+            f"Untraced runs: --seconds {SECONDS} --trace 0, one process each; each entry "
             f"is the run's final JSON line. Seeds {seeds}. Summaries are the quartiles "
             f"(inclusive method) of each end-to-end metric over the pairs and the number "
             f"of pairs in which the change reads lower."),
@@ -107,20 +110,13 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--change", required=True, help="checkout of the change")
     parser.add_argument("--out", required=True, help="BENCH file to write")
     parser.add_argument("--seed", type=int, required=True, help="seed of the first pair")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=30.0)
-    parser.add_argument("--workload", action="append",
-                        help="workload to run (repeatable); default: all of BENCHMARK.json's")
     args = parser.parse_args(argv)
-    if args.pairs < 2:
-        parser.error("--pairs must be >= 2, for quartiles")
     with open(os.path.join(args.change, "BENCHMARK.json"), encoding="utf-8") as fh:
         declared = json.load(fh)
-    workloads = args.workload or [w["name"] for w in declared["workloads"]]
+    workloads = [w["name"] for w in declared["workloads"]]
     metrics = [m["name"] for m in declared["end_to_end"]]
     try:
-        result = bench_pairs(args.parent, args.change, workloads, metrics, args.seed,
-                             args.pairs, args.seconds)
+        result = bench_pairs(args.parent, args.change, workloads, metrics, args.seed)
     except RuntimeError as error:
         print(f"bench_pairs: {error}", file=sys.stderr)
         return 1
