@@ -49,11 +49,13 @@ def _block(items: list, depth: int, brackets: str):
         return pieces
 
 
-def _float_text(x: float) -> str:
-    """x at 9 significant digits as JSON, repr(float(fmt(x))); nan and inf as
-    strings. A 9-digit text is the shortest one of a normal float, so where
-    repr and "%.9g" choose the same notation the text is already repr's."""
-    text = f"{x:.9g}"  # fmt, inlined
+def _float_text(x: float, text: str | None = None) -> str:
+    """x at 9 significant digits as JSON, repr(float(fmt(x))), made from
+    `text` where it is fmt(x) already; nan and inf as strings. A 9-digit text
+    is the shortest one of a normal float, so where repr and "%.9g" choose
+    the same notation the text is already repr's."""
+    if text is None:
+        text = f"{x:.9g}"  # fmt, inlined
     if "e" in text:  # repr writes e-notation only below 1e-4 and from 1e16
         return text if "e-" in text and abs(x) >= sys.float_info.min else repr(float(text))
     if "." in text:
@@ -248,17 +250,56 @@ def _atomic_write(path: str, pieces: list) -> None:
 
 
 def write_json(path: str, obj) -> None:
-    text = _encode(obj, 0)
+    """Write `obj` as its JSON text, or as it is where it is that text
+    already (_Pieces, as `_table_json` gives)."""
+    text = obj if type(obj) is _Pieces else _encode(obj, 0)
     _atomic_write(path, (text if type(text) is _Pieces else [text]) + ["\n"])
+
+
+class _Cells(list):
+    """Rows whose floats are their "%.9g" text already (`_table_cells`)."""
 
 
 def write_csv(path: str, header: list[str], rows) -> None:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows([f"{v:.9g}" if isinstance(v, float) else v for v in row]  # fmt, inlined
-                     for row in rows)
+    writer.writerows(rows if type(rows) is _Cells else
+                     ([f"{v:.9g}" if isinstance(v, float) else v for v in row]  # fmt, inlined
+                      for row in rows))
     _atomic_write(path, [buf.getvalue()])
+
+
+def _table_cells(rows) -> _Cells | None:
+    """Each of `rows` as a list with its floats as their "%.9g" text: the
+    cells that a table's CSV and its JSON twin (`_table_json`) are both made
+    from, so that each float is formatted once. None if a float is not
+    finite, found in the same pass."""
+    cells = _Cells()
+    for row in rows:
+        texts = []
+        for v in row:
+            if isinstance(v, float):
+                v = f"{v:.9g}"  # fmt, inlined
+                if "n" in v:  # nan, inf or -inf: no finite float's text has an n
+                    return None
+            texts.append(v)
+        cells.append(texts)
+    return cells
+
+
+def _table_json(header: list[str], rows, cells: list[list]) -> _Pieces:
+    """The JSON text of [dict(zip(header, row)) for row in rows], made from
+    the `_table_cells` of `rows`: a float's text is the one its CSV cell
+    holds. Each row has one cell per header name, and the names differ."""
+    if not cells:
+        return _Pieces(["[]"])
+    keys = [encode_basestring_ascii(name).replace("%", "%%") + ": %s" for name in header]
+    template = "{\n    " + ",\n    ".join(keys) + "\n  }"
+    return _Pieces(["[\n  ", ",\n  ".join([
+        template % tuple([_float_text(v, text) if isinstance(v, float) else _encode(v, 2)
+                          for v, text in zip(row, texts)])
+        for row, texts in zip(rows, cells)]), "\n]"])
 
 
 def _non_finite(obj) -> bool:

@@ -19,7 +19,7 @@ from . import __version__
 from .arch import (AT_LEAST_ONE, NON_NEGATIVE, POSITIVE, POSITIVE_OR_INF, SEED, ModelConfig,
                    builtin_catalogue, catalogue_from_json, compute_breakdown, find_model,
                    hardware_requirements)
-from .artifacts import _non_finite, fmt, write_csv, write_json
+from .artifacts import _non_finite, _table_cells, _table_json, fmt, write_csv, write_json
 from .energy import (ChunkingScenario, DIGITAL_BASELINES, HardwareProfile, PhotonPolicy,
                      chunked_gpu_energy, chunked_onn_energy, default_policy,
                      default_profile, energy_ratio, future_profile, total_energy)
@@ -89,32 +89,40 @@ def write_manifest(out_dir: str, command: str, seed: int, resolved: dict,
 def _emit(args, command: str, resolved: dict, files: dict, always=None) -> None:
     """Create --out and write `always` and each of `files` whose extension
     --format selects, then the manifest that lists them. A payload is a JSON
-    document or, for a .csv name, a (header, rows) pair. A NaN or an infinity
-    (a result past float64) in a file to be written is an over_limit error,
-    raised before any file is written."""
+    document or a (header, rows) table: a .csv name's always, and a .json
+    name's when the file is the table's JSON twin (see _table). A table's
+    cells are formatted once, for both its files, in the pass that checks its
+    numbers. A NaN or an infinity (a result past float64) in a file to be
+    written is an over_limit error, raised before any file is written."""
     files = {**(always or {}), **{name: payload for name, payload in files.items()
                                   if args.format in (name.rsplit(".", 1)[1], "both")}}
+    cells = {}  # by id of the table
     for name, payload in files.items():
-        # a CSV payload's rows are flat: one comprehension, not a call per cell
-        numbers = ([v for row in payload[1] for v in row if isinstance(v, float)]
-                   if name.endswith(".csv") else payload)
-        if _non_finite(numbers):
+        if type(payload) is tuple:
+            if id(payload) not in cells:
+                cells[id(payload)] = _table_cells(payload[1])
+            non_finite = cells[id(payload)] is None
+        else:
+            non_finite = _non_finite(payload)
+        if non_finite:
             raise CliError("over_limit", f"a result left the float64 range: {name}")
     os.makedirs(args.out or ".", exist_ok=True)
     for name, payload in files.items():
         path = os.path.join(args.out, name)
-        if name.endswith(".csv"):
-            write_csv(path, *payload)
-        else:
+        if type(payload) is not tuple:
             write_json(path, payload)
+        elif name.endswith(".csv"):
+            write_csv(path, payload[0], cells[id(payload)])
+        else:
+            write_json(path, _table_json(*payload, cells[id(payload)]))
     write_manifest(args.out, command, args.seed, resolved, list(files), args.timestamp)
 
 
 def _table(stem: str, header: list[str], rows: list[list]) -> dict:
-    """The `_emit` files of one table: `<stem>.csv`, and `<stem>.json` with an
-    object per row keyed by `header`."""
-    return {f"{stem}.csv": (header, rows),
-            f"{stem}.json": [dict(zip(header, row)) for row in rows]}
+    """The `_emit` files of one table: `<stem>.csv`, and its JSON twin
+    `<stem>.json` with an object per row keyed by `header`."""
+    table = (header, rows)
+    return {f"{stem}.csv": table, f"{stem}.json": table}
 
 
 def _check_out(out: str) -> None:

@@ -29,7 +29,7 @@ import photonsim.artifacts
 import photonsim.cli
 import photonsim.txsim
 from photonsim.artifacts import _non_finite
-from photonsim.cli import build_parser, main, write_json
+from photonsim.cli import build_parser, main, write_csv, write_json
 
 TINY = {"name": "tiny", "n": 8, "d": 16, "h": 2, "L": 2}
 
@@ -704,7 +704,9 @@ def test_count_overflow_is_over_limit(tmp_path, capsys, argv):
      "energy_summary.csv"),
     (["chunking", "--config", "TINY", "--memory", "100", "--dram-j-per-bit", "1e308"],
      "chunking.csv"),
-], ids=["energy_baseline", "energy_baseline_csv", "chunking_dram"])
+    (["chunking", "--config", "TINY", "--memory", "100", "--dram-j-per-bit", "1e308",
+      "--format", "json"], "chunking.json"),
+], ids=["energy_baseline", "energy_baseline_csv", "chunking_dram", "chunking_dram_json"])
 def test_result_overflow_is_over_limit(tmp_path, capsys, argv, data_file):
     # finite flags whose products leave float64: an inf advantage or energy means nothing
     argv = [write_tiny_config(tmp_path) if a == "TINY" else a for a in argv]
@@ -951,13 +953,13 @@ DATA_FILES = {
 @pytest.mark.parametrize("fmt", ["json", "csv", "both"])
 @pytest.mark.parametrize("command", sorted(DATA_FILES))
 def test_format_selects_the_manifest_outputs(tmp_path, command, fmt):
-    out = tmp_path / "o"
-    argv = [command, "--format", fmt, "--out", str(out)]
+    argv = [command]
     if command != "catalogue":
         argv += ["--config", write_tiny_config(tmp_path)]
     if command == "sweep":
         argv += ["--ff-grid", "0,1", "--attn-grid", "0"]
-    assert main(argv) == 0
+    out = tmp_path / "o"
+    assert main(argv + ["--format", fmt, "--out", str(out)]) == 0
     kinds = ["json", "csv"] if fmt == "both" else [fmt]
     expected = [name for kind in kinds for name in DATA_FILES[command][kind]]
     if command == "simulate":  # traces are written whatever the format
@@ -966,6 +968,11 @@ def test_format_selects_the_manifest_outputs(tmp_path, command, fmt):
     assert manifest["outputs"] == sorted(expected)
     # nothing else is left behind, temporary files included
     assert sorted(os.listdir(out)) == sorted(expected + [f"{command}_manifest.json"])
+    # one format alone writes the bytes that both formats write
+    both = tmp_path / "both"
+    assert main(argv + ["--format", "both", "--out", str(both)]) == 0
+    for name in expected:
+        assert (out / name).read_bytes() == (both / name).read_bytes(), name
 
 
 def test_artifacts_honour_umask(tmp_path):
@@ -1163,6 +1170,40 @@ def test_write_json_rejects_a_key_that_is_not_a_str(tmp_path, doc, key):
 ])
 def test_non_finite_finds_nan_and_inf_at_any_depth(doc, expected):
     assert _non_finite(doc) is expected
+
+
+# cells of every kind a table holds, with the texts where "%.9g" and repr part ways
+table_cells = st.one_of(
+    st.text(), st.text(alphabet=',"\n\r%\u00e9\u2192\u5149 ab'),
+    st.sampled_from(["nan", "inf", "-inf", "", "%s"]),
+    st.integers(), st.integers(2 ** 63, 2 ** 80), st.booleans(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 1e16, 1e-5, 2.0, 1e308, -1e308]),
+    st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+)
+tables = st.integers(1, 5).flatmap(lambda width: st.tuples(
+    st.lists(st.text(alphabet='"%\u00e9ab'), min_size=width, max_size=width, unique=True),
+    st.lists(st.lists(table_cells, min_size=width, max_size=width), max_size=6)))
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(table=tables)
+@example(table=(["a", "b"], []))
+def test_table_files_match_reference(tmp_path, table):
+    # the one-pass path of a table's CSV and JSON twin, against the plain writers
+    header, rows = table
+    args = argparse.Namespace(format="both", out=str(tmp_path / "t"), seed=0, timestamp="now")
+    photonsim.cli._emit(args, "t", {}, photonsim.cli._table("t", header, rows))
+    write_csv(str(tmp_path / "reference.csv"), header, rows)
+    write_json(str(tmp_path / "reference.json"), [dict(zip(header, row)) for row in rows])
+    for kind in ("csv", "json"):
+        assert ((tmp_path / "t" / f"t.{kind}").read_bytes()
+                == (tmp_path / f"reference.{kind}").read_bytes()), kind
+    if not rows:
+        assert (tmp_path / "t" / "t.json").read_bytes() == b"[]\n"
+    for value in (math.nan, math.inf, -math.inf, np.float64(math.nan)):
+        assert photonsim.artifacts._table_cells(rows + [[value] * len(header)]) is None
 
 
 def test_trace_documents_keep_their_bytes(tmp_path):

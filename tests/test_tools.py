@@ -158,7 +158,7 @@ def test_bench_pairs_alternates_the_checkouts_and_summarizes_the_pairs(tmp_path)
     assert alpha["summary"]["peak_rss_mb"] == {
         "parent": {"q1": 2.75, "median": 5.0, "q3": 7.25},
         "change": {"q1": 2.25, "median": 4.5, "q3": 6.75},
-        "change_lower_in": "9/10"}
+        "change_lower_in": "9/10", "median_gap": 0.5, "parent_iqr": 4.5}
     assert alpha["summary"]["wall_s"]["change_lower_in"] == "0/10"
     assert list(result["workloads"]) == ["alpha", "beta"]
 

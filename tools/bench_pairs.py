@@ -9,8 +9,10 @@ last line of standard output (its JSON result) is kept as it is.
 The result, written to OUT as indent-2 JSON, has the layout of the repo's
 BENCH files: a description, the machine line the first run printed, and
 per workload the pairs and a summary of each end-to-end metric: the
-quartiles of both sides (inclusive method) and the number of pairs in which
-the change reads lower. A run that exits non-zero, or prints no JSON result
+quartiles of both sides (inclusive method), the number of pairs in which
+the change reads lower, the median gap (the parent's median minus the
+change's, positive where the change reads lower) and the parent's IQR
+(q3 - q1). A claimed gain needs a gap wider than that IQR. A run that exits non-zero, or prints no JSON result
 or another machine, stops the tool with exit status 1 before OUT is written.
 Standard library only.
 
@@ -53,7 +55,8 @@ def _run(checkout: str, workload: str, seed: int) -> tuple[dict, dict]:
 
 
 def summary(pairs: list[dict], metrics: list[str]) -> dict:
-    """Per metric: the quartiles of each side and how often the change reads lower."""
+    """Per metric: the quartiles of each side, how often the change reads
+    lower, the median gap and the parent's IQR."""
     out = {}
     for name in metrics:
         values = {side: [pair[side]["metrics"][name]["value"] for pair in pairs]
@@ -64,6 +67,8 @@ def summary(pairs: list[dict], metrics: list[str]) -> dict:
             entry[side] = {"q1": q1, "median": median, "q3": q3}
         lower = sum(c < p for p, c in zip(values["parent"], values["change"]))
         entry["change_lower_in"] = f"{lower}/{len(pairs)}"
+        entry["median_gap"] = entry["parent"]["median"] - entry["change"]["median"]
+        entry["parent_iqr"] = entry["parent"]["q3"] - entry["parent"]["q1"]
         out[name] = entry
     return out
 
@@ -97,8 +102,9 @@ def bench_pairs(parent: str, change: str, workloads: list[str], metrics: list[st
             f"alternating which side runs first (the parent first on even pair indices). "
             f"Untraced runs: --seconds {SECONDS} --trace 0, one process each; each entry "
             f"is the run's final JSON line. Seeds {seeds}. Summaries are the quartiles "
-            f"(inclusive method) of each end-to-end metric over the pairs and the number "
-            f"of pairs in which the change reads lower."),
+            f"(inclusive method) of each end-to-end metric over the pairs, the number "
+            f"of pairs in which the change reads lower, the median gap (parent median "
+            f"minus change median) and the parent's IQR (q3 - q1)."),
         "machine": seen_machine,
         "workloads": result,
     }
