@@ -250,8 +250,8 @@ def _atomic_write(path: str, pieces: list) -> None:
 
 
 def write_json(path: str, obj) -> None:
-    """Write `obj` as its JSON text, or as it is where it is that text
-    already (_Pieces, as `_table_json` gives)."""
+    """Write `obj` as JSON. A _Pieces, as `_table_json` gives, is a JSON
+    text already and is written as it is."""
     text = obj if type(obj) is _Pieces else _encode(obj, 0)
     _atomic_write(path, (text if type(text) is _Pieces else [text]) + ["\n"])
 
