@@ -261,13 +261,33 @@ class _Cells(list):
 
 
 def write_csv(path: str, header: list[str], rows) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows if type(rows) is _Cells else
-                     ([f"{v:.9g}" if isinstance(v, float) else v for v in row]  # fmt, inlined
-                      for row in rows))
-    _atomic_write(path, [buf.getvalue()])
+    text = _joined_csv(header, rows) if type(rows) is _Cells else None
+    if text is None:
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows if type(rows) is _Cells else
+                         ([f"{v:.9g}" if isinstance(v, float) else v for v in row]  # fmt, inlined
+                          for row in rows))
+        text = buf.getvalue()
+    _atomic_write(path, [text])
+
+
+def _joined_csv(header: list[str], cells: list[list]) -> str | None:
+    """The CSV text of `header` and `cells` made by joining them, where that
+    is csv.writer's text: every cell a str that needs no quotes (no comma,
+    quote or line break) and every row at least two cells (csv.writer quotes
+    a lone empty one). None otherwise."""
+    try:
+        text = "".join([",".join(row) + "\n" for row in [header, *cells]])
+    except TypeError:  # a cell that is not a str
+        return None
+    # a comma or a line break inside a cell shows as one too many in the text
+    if ('"' in text or "\r" in text or text.count("\n") != len(cells) + 1
+            or text.count(",") != sum(map(len, cells)) + len(header) - len(cells) - 1
+            or min(map(len, cells), default=2) < 2 or len(header) < 2):
+        return None
+    return text
 
 
 def _table_cells(rows) -> _Cells | None:
@@ -288,18 +308,39 @@ def _table_cells(rows) -> _Cells | None:
     return cells
 
 
-def _table_json(header: list[str], rows, cells: list[list]) -> _Pieces:
+def _table_json(header: list, rows, cells: list[list]) -> _Pieces:
     """The JSON text of [dict(zip(header, row)) for row in rows], made from
     the `_table_cells` of `rows`: a float's text is the one its CSV cell
-    holds. Each row has one cell per header name, and the names differ."""
+    holds. A header name that is a tuple of two or more names is a path
+    through nested objects, and the paths that share a first name are
+    adjacent. Each row has one cell per header name, and the names differ."""
     if not cells:
         return _Pieces(["[]"])
-    keys = [encode_basestring_ascii(name).replace("%", "%%") + ": %s" for name in header]
-    template = "{\n    " + ",\n    ".join(keys) + "\n  }"
+    template = _object_template(header, 1)
+    depths = [1 + len(name) if type(name) is tuple else 2 for name in header]
     return _Pieces(["[\n  ", ",\n  ".join([
-        template % tuple([_float_text(v, text) if isinstance(v, float) else _encode(v, 2)
-                          for v, text in zip(row, texts)])
+        template % tuple([_float_text(v, text) if isinstance(v, float) else _encode(v, depth)
+                          for v, text, depth in zip(row, texts, depths)])
         for row, texts in zip(rows, cells)]), "\n]"])
+
+
+def _object_template(header: list, depth: int) -> str:
+    """The JSON object at nesting `depth` of `_table_json`'s `header`, with a
+    %s in place of each value."""
+    pad = "\n" + _INDENT * (depth + 1)
+    items, i = [], 0
+    while i < len(header):
+        name, i = header[i], i + 1
+        value = "%s"
+        if type(name) is tuple:
+            j = i
+            while j < len(header) and type(header[j]) is tuple and header[j][0] == name[0]:
+                j += 1
+            value = _object_template([path[1] if len(path) == 2 else path[1:]
+                                      for path in header[i - 1:j]], depth + 1)
+            name, i = name[0], j
+        items.append(encode_basestring_ascii(name).replace("%", "%%") + ": " + value)
+    return "{" + pad + ("," + pad).join(items) + "\n" + _INDENT * depth + "}"
 
 
 def _non_finite(obj) -> bool:

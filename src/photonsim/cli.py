@@ -90,10 +90,11 @@ def _emit(args, command: str, resolved: dict, files: dict, always=None) -> None:
     """Create --out and write `always` and each of `files` whose extension
     --format selects, then the manifest that lists them. A payload is a JSON
     document or a (header, rows) table: a .csv name's always, and a .json
-    name's when the file is the table's JSON twin (see _table). A table's
-    cells are formatted once, for both its files, in the pass that checks its
-    numbers. A NaN or an infinity (a result past float64) in a file to be
-    written is an over_limit error, raised before any file is written."""
+    name's when the file holds an object per row keyed by the header (see
+    _table and _table_json). A table's cells are formatted once, for all its
+    files, in the pass that checks its numbers. A NaN or an infinity (a
+    result past float64) in a file to be written is an over_limit error,
+    raised before any file is written."""
     files = {**(always or {}), **{name: payload for name, payload in files.items()
                                   if args.format in (name.rsplit(".", 1)[1], "both")}}
     cells = {}  # by id of the table
@@ -272,7 +273,9 @@ def cmd_energy(args) -> list[str]:
                      + ", ".join(f"{k} {fmt(v)}x" for k, v in adv.items()))
     header = ["model", "n", "d", "h", "L", "params", "total_macs", "total_j"]
     _emit(args, "energy", resolved, {
-        "energy.json": [r.to_json_dict() for r in reports],
+        # to_json_dict of each report, as a table: one row of cells per report
+        "energy.json": (reports[0].json_header() if reports else [],
+                        [r.json_row() for r in reports]),
         "energy.csv": (["model", "layer_class", "category", "joules"],
                        [row for r in reports for row in r.csv_rows()]),
         "energy_summary.csv": (header + [f"advantage_{name}" for name in baselines],

@@ -201,6 +201,26 @@ class EnergyReport:
             "advantages": self.advantages(),
         }
 
+    def json_header(self) -> list:
+        """The key of each value of to_json_dict in its order, as a tuple of
+        keys where the value is in a nested object: the header of json_row.
+        An empty object of to_json_dict has no key here."""
+        return (["model", "total_macs"]
+                + [("cells", c, cat) for c, cats in self.cells.items() for cat in cats]
+                + [("class_totals", c) for c in LAYER_CLASSES]
+                + [("category_totals", cat) for cat in CATEGORIES] + ["total_j"]
+                + [("baselines_j_per_mac", name) for name in self.baselines]
+                + [("advantages", name) for name in self.baselines])
+
+    def json_row(self) -> list:
+        """The values of to_json_dict in json_header's order; the same
+        numbers, summed in the same order."""
+        rows = list(self._rows())
+        return ([self.model, self.total_macs]
+                + [v for cats in self.cells.values() for v in cats.values()]
+                + list(map(sum, rows)) + list(map(sum, zip(*rows))) + [self.total()]
+                + list(self.baselines.values()) + list(self.advantages().values()))
+
     def csv_rows(self) -> list[tuple[str, str, str, float]]:
         return [(self.model, c, cat, self.cells[c][cat])
                 for c in LAYER_CLASSES for cat in CATEGORIES]

@@ -1206,6 +1206,58 @@ def test_table_files_match_reference(tmp_path, table):
         assert photonsim.artifacts._table_cells(rows + [[value] * len(header)]) is None
 
 
+@settings(max_examples=300, deadline=None)
+@given(header=st.lists(st.text(), min_size=1, max_size=4),
+       rows=st.lists(st.lists(st.one_of(st.text(), st.text(alphabet='ab ,"\n\r\x00é'),
+                                        st.sampled_from(["", "1.5", "x y"])),
+                              min_size=1, max_size=4), max_size=5))
+@example(header=["a", "b"], rows=[["1.5", "x y"], ["", "é"]])
+@example(header=["a", "b"], rows=[["1", "2"], [""]])
+def test_joined_csv_is_csv_writers_text(header, rows):
+    # the joined text, where there is one, against csv.writer's
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([header, *rows])
+    text = photonsim.artifacts._joined_csv(header, rows)
+    assert text is None or text == buf.getvalue()
+    plain = all(len(row) > 1 and not re.search('[,"\r\n]', "".join(row))
+                for row in [header, *rows])
+    assert (text is not None) == plain
+
+
+def test_table_json_nests_tuple_paths(tmp_path):
+    # a tuple name is a path through nested objects; depths follow the nesting
+    header = ["a%s", ("b", "x"), ("b", "y", "z"), ("b", "y", "w"), "c", ("d", "e")]
+    rows = [[1.5, "s", 2, [1.0, {"k": None}], True, 1e16],
+            ["%d", 0.0, -0.0, {}, None, 5e-324]]
+    cells = photonsim.artifacts._table_cells(rows)
+    write_json(str(tmp_path / "t.json"), photonsim.artifacts._table_json(header, rows, cells))
+    doc = [{"a%s": r[0], "b": {"x": r[1], "y": {"z": r[2], "w": r[3]}}, "c": r[4],
+            "d": {"e": r[5]}} for r in rows]
+    write_json(str(tmp_path / "reference.json"), doc)
+    assert (tmp_path / "t.json").read_bytes() == (tmp_path / "reference.json").read_bytes()
+
+
+@pytest.mark.parametrize("profile", [
+    None, future_profile(), HardwareProfile(e_maintain=-0.0, e_mod=0.0),
+    HardwareProfile(**{name: 3 for name in ("e_read_offchip", "e_read_sram", "e_write", "e_dac",
+                                            "e_mod", "e_amp", "e_adc", "e_maintain")}),
+])
+def test_energy_json_table_matches_its_documents(tmp_path, profile):
+    # energy.json's table path against write_json of the reports' to_json_dict
+    models = builtin_catalogue()[:6]
+    for reports in ([total_energy(m, profile, baselines={**DIGITAL_BASELINES, "custom": 3e-13})
+                     for m in models],
+                    [chunked_onn_energy(m, profile, scenario=ChunkingScenario(1e6, 16))
+                     for m in models]):
+        header, rows = reports[0].json_header(), [r.json_row() for r in reports]
+        assert all(r.json_header() == header for r in reports)
+        cells = photonsim.artifacts._table_cells(rows)
+        write_json(str(tmp_path / "t.json"),
+                   photonsim.artifacts._table_json(header, rows, cells))
+        write_json(str(tmp_path / "reference.json"), [r.to_json_dict() for r in reports])
+        assert (tmp_path / "t.json").read_bytes() == (tmp_path / "reference.json").read_bytes()
+
+
 def test_trace_documents_keep_their_bytes(tmp_path):
     # the bytes of a trace as lists of Python floats, from which json.dumps and
     # the reference writer define the formats
