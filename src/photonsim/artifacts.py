@@ -276,14 +276,15 @@ def write_csv(path: str, header: list[str], rows) -> None:
 def _joined_csv(header: list[str], cells: list[list]) -> str | None:
     """The CSV text of `header` and `cells` made by joining them, where that
     is csv.writer's text: every cell a str that needs no quotes (no comma,
-    quote or line break) and every row at least two cells (csv.writer quotes
-    a lone empty one). None otherwise."""
+    quote or line break) and no NUL (which Python 3.10's csv.writer
+    refuses), and every row at least two cells (csv.writer quotes a lone
+    empty one). None otherwise."""
     try:
         text = "".join([",".join(row) + "\n" for row in [header, *cells]])
     except TypeError:  # a cell that is not a str
         return None
     # a comma or a line break inside a cell shows as one too many in the text
-    if ('"' in text or "\r" in text or text.count("\n") != len(cells) + 1
+    if ('"' in text or "\r" in text or "\0" in text or text.count("\n") != len(cells) + 1
             or text.count(",") != sum(map(len, cells)) + len(header) - len(cells) - 1
             or min(map(len, cells), default=2) < 2 or len(header) < 2):
         return None

@@ -1215,11 +1215,14 @@ def test_table_files_match_reference(tmp_path, table):
 @example(header=["a", "b"], rows=[["1", "2"], [""]])
 def test_joined_csv_is_csv_writers_text(header, rows):
     # the joined text, where there is one, against csv.writer's
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows([header, *rows])
     text = photonsim.artifacts._joined_csv(header, rows)
+    buf = io.StringIO()
+    try:
+        csv.writer(buf, lineterminator="\n").writerows([header, *rows])
+    except csv.Error:  # Python 3.10 refuses a NUL
+        assert text is None
     assert text is None or text == buf.getvalue()
-    plain = all(len(row) > 1 and not re.search('[,"\r\n]', "".join(row))
+    plain = all(len(row) > 1 and not re.search('[,"\r\n\0]', "".join(row))
                 for row in [header, *rows])
     assert (text is not None) == plain
 
