@@ -82,6 +82,8 @@ class ModelConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.name, str):
             raise ValueError(f"name must be a string, got {self.name!r}")
+        if "\0" in self.name:  # Python 3.10's csv.writer cannot write it
+            raise ValueError(f"name must not hold a NUL, got {self.name!r}")
         for name in ("n", "d", "h", "L"):
             check_number(name, getattr(self, name), COUNT)
 

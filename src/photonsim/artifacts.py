@@ -250,25 +250,45 @@ def _atomic_write(path: str, pieces: list) -> None:
 
 
 def write_json(path: str, obj) -> None:
-    """Write `obj` as JSON. A _Pieces, as `_table_json` gives, is a JSON
-    text already and is written as it is."""
-    text = obj if type(obj) is _Pieces else _encode(obj, 0)
+    """Write `obj`, a JSON document or a Table, as JSON."""
+    text = _table_json(obj) if type(obj) is Table else _encode(obj, 0)
     _atomic_write(path, (text if type(text) is _Pieces else [text]) + ["\n"])
 
 
-class _Cells(list):
-    """Rows whose floats are their "%.9g" text already (`_table_cells`)."""
+class Table:
+    """`rows` of one cell per `header` name, written as CSV (`write_csv`) or
+    as JSON (`write_json`): a list of objects keyed by the header. A name
+    that is a tuple of two or more names is a path through nested objects in
+    the JSON, and the paths that share a first name are adjacent. The names
+    differ."""
+
+    def __init__(self, header: list, rows: list) -> None:
+        self.header, self.rows = header, rows
+
+    @functools.cached_property
+    def cells(self) -> list[list] | None:
+        """Each row as a list with its floats as their "%.9g" text, which
+        every file of the table is made from, so that each float is
+        formatted once. None if a float is not finite, found in the same
+        pass; such a table cannot be written."""
+        cells = []
+        for row in self.rows:
+            texts = []
+            for v in row:
+                if isinstance(v, float):
+                    v = f"{v:.9g}"  # fmt, inlined
+                    if "n" in v:  # nan, inf or -inf: no finite float's text has an n
+                        return None
+                texts.append(v)
+            cells.append(texts)
+        return cells
 
 
-def write_csv(path: str, header: list[str], rows) -> None:
-    text = _joined_csv(header, rows) if type(rows) is _Cells else None
+def write_csv(path: str, table: Table) -> None:
+    text = _joined_csv(table.header, table.cells)
     if text is None:
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows if type(rows) is _Cells else
-                         ([f"{v:.9g}" if isinstance(v, float) else v for v in row]  # fmt, inlined
-                          for row in rows))
+        csv.writer(buf, lineterminator="\n").writerows([table.header, *table.cells])
         text = buf.getvalue()
     _atomic_write(path, [text])
 
@@ -291,38 +311,16 @@ def _joined_csv(header: list[str], cells: list[list]) -> str | None:
     return text
 
 
-def _table_cells(rows) -> _Cells | None:
-    """Each of `rows` as a list with its floats as their "%.9g" text: the
-    cells that a table's CSV and its JSON twin (`_table_json`) are both made
-    from, so that each float is formatted once. None if a float is not
-    finite, found in the same pass."""
-    cells = _Cells()
-    for row in rows:
-        texts = []
-        for v in row:
-            if isinstance(v, float):
-                v = f"{v:.9g}"  # fmt, inlined
-                if "n" in v:  # nan, inf or -inf: no finite float's text has an n
-                    return None
-            texts.append(v)
-        cells.append(texts)
-    return cells
-
-
-def _table_json(header: list, rows, cells: list[list]) -> _Pieces:
-    """The JSON text of [dict(zip(header, row)) for row in rows], made from
-    the `_table_cells` of `rows`: a float's text is the one its CSV cell
-    holds. A header name that is a tuple of two or more names is a path
-    through nested objects, and the paths that share a first name are
-    adjacent. Each row has one cell per header name, and the names differ."""
-    if not cells:
-        return _Pieces(["[]"])
-    template = _object_template(header, 1)
-    depths = [1 + len(name) if type(name) is tuple else 2 for name in header]
-    return _Pieces(["[\n  ", ",\n  ".join([
+def _table_json(table: Table) -> str:
+    """The JSON text of `table`: a float's text is the one its CSV cell holds."""
+    if not table.rows:
+        return "[]"
+    template = _object_template(table.header, 1)
+    depths = [1 + len(name) if type(name) is tuple else 2 for name in table.header]
+    return "[\n  " + ",\n  ".join([
         template % tuple([_float_text(v, text) if isinstance(v, float) else _encode(v, depth)
                           for v, text, depth in zip(row, texts, depths)])
-        for row, texts in zip(rows, cells)]), "\n]"])
+        for row, texts in zip(table.rows, table.cells)]) + "\n]"
 
 
 def _object_template(header: list, depth: int) -> str:

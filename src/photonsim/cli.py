@@ -19,7 +19,7 @@ from . import __version__
 from .arch import (AT_LEAST_ONE, NON_NEGATIVE, POSITIVE, POSITIVE_OR_INF, SEED, ModelConfig,
                    builtin_catalogue, catalogue_from_json, compute_breakdown, find_model,
                    hardware_requirements)
-from .artifacts import _non_finite, _table_cells, _table_json, fmt, write_csv, write_json
+from .artifacts import Table, _non_finite, fmt, write_csv, write_json
 from .energy import (ChunkingScenario, DIGITAL_BASELINES, HardwareProfile, PhotonPolicy,
                      chunked_gpu_energy, chunked_onn_energy, default_policy,
                      default_profile, energy_ratio, future_profile, total_energy)
@@ -88,41 +88,23 @@ def write_manifest(out_dir: str, command: str, seed: int, resolved: dict,
 
 def _emit(args, command: str, resolved: dict, files: dict, always=None) -> None:
     """Create --out and write `always` and each of `files` whose extension
-    --format selects, then the manifest that lists them. A payload is a JSON
-    document or a (header, rows) table: a .csv name's always, and a .json
-    name's when the file holds an object per row keyed by the header (see
-    _table and _table_json). A table's cells are formatted once, for all its
-    files, in the pass that checks its numbers. A NaN or an infinity (a
-    result past float64) in a file to be written is an over_limit error,
-    raised before any file is written."""
+    --format selects, each a JSON document or a `Table`, then the manifest
+    that lists them. A NaN or an infinity (a result past float64) in a file
+    to be written is an over_limit error, raised before any file is written."""
     files = {**(always or {}), **{name: payload for name, payload in files.items()
                                   if args.format in (name.rsplit(".", 1)[1], "both")}}
-    cells = {}  # by id of the table
     for name, payload in files.items():
-        if type(payload) is tuple:
-            if id(payload) not in cells:
-                cells[id(payload)] = _table_cells(payload[1])
-            non_finite = cells[id(payload)] is None
-        else:
-            non_finite = _non_finite(payload)
-        if non_finite:
+        if (payload.cells is None if type(payload) is Table else _non_finite(payload)):
             raise CliError("over_limit", f"a result left the float64 range: {name}")
     os.makedirs(args.out or ".", exist_ok=True)
     for name, payload in files.items():
-        path = os.path.join(args.out, name)
-        if type(payload) is not tuple:
-            write_json(path, payload)
-        elif name.endswith(".csv"):
-            write_csv(path, payload[0], cells[id(payload)])
-        else:
-            write_json(path, _table_json(*payload, cells[id(payload)]))
+        (write_csv if name.endswith(".csv") else write_json)(os.path.join(args.out, name), payload)
     write_manifest(args.out, command, args.seed, resolved, list(files), args.timestamp)
 
 
 def _table(stem: str, header: list[str], rows: list[list]) -> dict:
-    """The `_emit` files of one table: `<stem>.csv`, and its JSON twin
-    `<stem>.json` with an object per row keyed by `header`."""
-    table = (header, rows)
+    """The `_emit` files of one table: `<stem>.csv` and its JSON twin `<stem>.json`."""
+    table = Table(header, rows)
     return {f"{stem}.csv": table, f"{stem}.json": table}
 
 
@@ -274,12 +256,12 @@ def cmd_energy(args) -> list[str]:
     header = ["model", "n", "d", "h", "L", "params", "total_macs", "total_j"]
     _emit(args, "energy", resolved, {
         # to_json_dict of each report, as a table: one row of cells per report
-        "energy.json": (reports[0].json_header() if reports else [],
-                        [r.json_row() for r in reports]),
-        "energy.csv": (["model", "layer_class", "category", "joules"],
-                       [row for r in reports for row in r.csv_rows()]),
-        "energy_summary.csv": (header + [f"advantage_{name}" for name in baselines],
-                               summary),
+        "energy.json": Table(reports[0].json_header() if reports else [],
+                             [r.json_row() for r in reports]),
+        "energy.csv": Table(["model", "layer_class", "category", "joules"],
+                            [row for r in reports for row in r.csv_rows()]),
+        "energy_summary.csv": Table(header + [f"advantage_{name}" for name in baselines],
+                                    summary),
     })
     return lines
 
@@ -341,7 +323,7 @@ def cmd_simulate(args) -> list[str]:
             "photons_per_mac": None if math.isinf(photons) else photons,
             "deviation": dev,
         },
-        "simulate_deviation.csv": (
+        "simulate_deviation.csv": Table(
             ["model", "ff_percent", "attn_percent", "seed", "deviation"],
             [[config.name, args.ff_noise, args.attn_noise, args.seed, dev]]),
     }, always={  # the documents hold the passes' own arrays, not copies
@@ -372,7 +354,7 @@ def cmd_catalogue(args) -> list[str]:
     rows = [[c.name, c.n, c.d, c.h, c.L, c.param_count] for c in catalogue]
     _emit(args, "catalogue", {"catalogue": source}, {
         "catalogue.json": [c.to_json_dict() for c in catalogue],
-        "catalogue.csv": (["name", "n", "d", "h", "L", "params"], rows),
+        "catalogue.csv": Table(["name", "n", "d", "h", "L", "params"], rows),
     })
     return [f"{r[0]}: n={r[1]} d={r[2]} h={r[3]} L={r[4]} params={r[5]}" for r in rows]
 

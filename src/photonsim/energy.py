@@ -190,21 +190,22 @@ class EnergyReport:
                 for name, j_per_mac in self.baselines.items()}
 
     def to_json_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "total_macs": self.total_macs,
-            "cells": {c: dict(cats) for c, cats in self.cells.items()},
-            "class_totals": self.class_totals(),
-            "category_totals": self.category_totals(),
-            "total_j": self.total(),
-            "baselines_j_per_mac": dict(self.baselines),
-            "advantages": self.advantages(),
-        }
+        """The report as a JSON object: each value of json_row at its key in
+        json_header, the layout that energy.json's rows are written in."""
+        doc = {}
+        for path, value in zip(self.json_header(), self.json_row()):
+            *parents, key = path if type(path) is tuple else (path,)
+            node = doc
+            for name in parents:
+                node = node.setdefault(name, {})
+            node[key] = value
+        return doc
 
     def json_header(self) -> list:
         """The key of each value of to_json_dict in its order, as a tuple of
         keys where the value is in a nested object: the header of json_row.
-        An empty object of to_json_dict has no key here."""
+        A class with no cells, or a report with no baselines, has no key here
+        and no object in to_json_dict."""
         return (["model", "total_macs"]
                 + [("cells", c, cat) for c, cats in self.cells.items() for cat in cats]
                 + [("class_totals", c) for c in LAYER_CLASSES]
@@ -213,8 +214,7 @@ class EnergyReport:
                 + [("advantages", name) for name in self.baselines])
 
     def json_row(self) -> list:
-        """The values of to_json_dict in json_header's order; the same
-        numbers, summed in the same order."""
+        """The values of json_header's keys in its order."""
         rows = list(self._rows())
         return ([self.model, self.total_macs]
                 + [v for cats in self.cells.values() for v in cats.values()]

@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .arch import COUNT, NON_NEGATIVE, POSITIVE_OR_INF, SEED, check_number
-from .artifacts import write_csv
+from .artifacts import Table, write_csv
 
 QUANTIZER_MODES = ("percentile", "lut")
 ROUNDING_MODES = ("deterministic", "stochastic")
@@ -142,7 +142,7 @@ def lut_from_csv(text: str) -> LookupTable:
 
 
 def save_lut(path: str | os.PathLike, lut: LookupTable) -> None:
-    write_csv(path, ["level_index", "value"], enumerate(lut.levels))
+    write_csv(path, Table(["level_index", "value"], list(enumerate(lut.levels))))
 
 
 # --------------------------------------------------------------------------

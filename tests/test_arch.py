@@ -270,7 +270,8 @@ def test_json_readers_reject_unknown_fields(reader):
     (dict(ROW, bogus=1), "unknown field 'bogus'"),
     ({"name": "x", "n": 4, "d": 8, "h": 2}, "missing field 'L'"),
     (dict(ROW, name=5), "name must be a string"),
-], ids=["list", "int", "unknown", "missing", "name_not_string"])
+    (dict(ROW, name="a\0b"), "name must not hold a NUL"),
+], ids=["list", "int", "unknown", "missing", "name_not_string", "name_with_nul"])
 def test_load_catalogue_rejects_bad_rows(row, match):
     with pytest.raises(ValueError, match=match):
         catalogue_from_json(json.dumps([row]))

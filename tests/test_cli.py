@@ -28,8 +28,8 @@ from photonsim import (ChunkingScenario, DIGITAL_BASELINES, HardwareProfile, Mod
 import photonsim.artifacts
 import photonsim.cli
 import photonsim.txsim
-from photonsim.artifacts import _non_finite
-from photonsim.cli import build_parser, main, write_csv, write_json
+from photonsim.artifacts import Table, _non_finite
+from photonsim.cli import build_parser, main, write_json
 
 TINY = {"name": "tiny", "n": 8, "d": 16, "h": 2, "L": 2}
 
@@ -431,6 +431,18 @@ def test_catalogue_env_parse_error(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("PHOTONSIM_CATALOGUE", str(bad))
     assert main(["catalogue", "--out", str(tmp_path / "cat")]) == 1
     assert capsys.readouterr().err.startswith("error:parse:")
+
+
+def test_catalogue_name_with_a_nul_is_a_parse_error(tmp_path, monkeypatch, capsys):
+    # Python 3.10's csv.writer cannot write a NUL, so no model name may hold one
+    bad = tmp_path / "nul.json"
+    bad.write_text('[{"name": "a\\u0000b", "n": 8, "d": 16, "h": 2, "L": 1}]')
+    monkeypatch.setenv("PHOTONSIM_CATALOGUE", str(bad))
+    out = tmp_path / "req"
+    assert main(["requirements", "--all", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error:parse: catalogue file {bad}: name must not hold a NUL")
+    assert captured.out == "" and not out.exists()
 
 
 # --------------------------------------------------------------------------
@@ -1174,7 +1186,7 @@ def test_non_finite_finds_nan_and_inf_at_any_depth(doc, expected):
 
 # cells of every kind a table holds, with the texts where "%.9g" and repr part ways
 table_cells = st.one_of(
-    st.text(), st.text(alphabet=',"\n\r%\u00e9\u2192\u5149 ab'),
+    st.text(), st.text(alphabet=',"\n\r\0%\u00e9\u2192\u5149 ab'),
     st.sampled_from(["nan", "inf", "-inf", "", "%s"]),
     st.integers(), st.integers(2 ** 63, 2 ** 80), st.booleans(),
     st.floats(allow_nan=False, allow_infinity=False),
@@ -1190,20 +1202,29 @@ tables = st.integers(1, 5).flatmap(lambda width: st.tuples(
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(table=tables)
 @example(table=(["a", "b"], []))
+@example(table=(["a", "b"], [["x\0y", 1.5]]))
 def test_table_files_match_reference(tmp_path, table):
-    # the one-pass path of a table's CSV and JSON twin, against the plain writers
+    # a table's CSV and JSON twin, against csv.writer over the "%.9g" rows and
+    # write_json of the objects keyed by the header
     header, rows = table
     args = argparse.Namespace(format="both", out=str(tmp_path / "t"), seed=0, timestamp="now")
-    photonsim.cli._emit(args, "t", {}, photonsim.cli._table("t", header, rows))
-    write_csv(str(tmp_path / "reference.csv"), header, rows)
+    files = photonsim.cli._table("t", header, rows)
+    buf = io.StringIO()
+    try:
+        csv.writer(buf, lineterminator="\n").writerows(
+            [header, *([f"{v:.9g}" if isinstance(v, float) else v for v in row] for row in rows)])
+    except csv.Error:  # Python 3.10 refuses a NUL
+        with pytest.raises(csv.Error):
+            photonsim.cli._emit(args, "t", {}, files)
+        return
+    photonsim.cli._emit(args, "t", {}, files)
     write_json(str(tmp_path / "reference.json"), [dict(zip(header, row)) for row in rows])
-    for kind in ("csv", "json"):
-        assert ((tmp_path / "t" / f"t.{kind}").read_bytes()
-                == (tmp_path / f"reference.{kind}").read_bytes()), kind
+    assert (tmp_path / "t" / "t.csv").read_bytes() == buf.getvalue().encode("utf-8")
+    assert (tmp_path / "t" / "t.json").read_bytes() == (tmp_path / "reference.json").read_bytes()
     if not rows:
         assert (tmp_path / "t" / "t.json").read_bytes() == b"[]\n"
     for value in (math.nan, math.inf, -math.inf, np.float64(math.nan)):
-        assert photonsim.artifacts._table_cells(rows + [[value] * len(header)]) is None
+        assert Table(header, rows + [[value] * len(header)]).cells is None
 
 
 @settings(max_examples=300, deadline=None)
@@ -1232,8 +1253,7 @@ def test_table_json_nests_tuple_paths(tmp_path):
     header = ["a%s", ("b", "x"), ("b", "y", "z"), ("b", "y", "w"), "c", ("d", "e")]
     rows = [[1.5, "s", 2, [1.0, {"k": None}], True, 1e16],
             ["%d", 0.0, -0.0, {}, None, 5e-324]]
-    cells = photonsim.artifacts._table_cells(rows)
-    write_json(str(tmp_path / "t.json"), photonsim.artifacts._table_json(header, rows, cells))
+    write_json(str(tmp_path / "t.json"), Table(header, rows))
     doc = [{"a%s": r[0], "b": {"x": r[1], "y": {"z": r[2], "w": r[3]}}, "c": r[4],
             "d": {"e": r[5]}} for r in rows]
     write_json(str(tmp_path / "reference.json"), doc)
@@ -1254,9 +1274,7 @@ def test_energy_json_table_matches_its_documents(tmp_path, profile):
                      for m in models]):
         header, rows = reports[0].json_header(), [r.json_row() for r in reports]
         assert all(r.json_header() == header for r in reports)
-        cells = photonsim.artifacts._table_cells(rows)
-        write_json(str(tmp_path / "t.json"),
-                   photonsim.artifacts._table_json(header, rows, cells))
+        write_json(str(tmp_path / "t.json"), Table(header, rows))
         write_json(str(tmp_path / "reference.json"), [r.to_json_dict() for r in reports])
         assert (tmp_path / "t.json").read_bytes() == (tmp_path / "reference.json").read_bytes()
 

@@ -131,6 +131,28 @@ def test_report_conservation():
     assert doc["total_j"] == rep.total()
 
 
+def test_report_json_layout():
+    # to_json_dict's key tree, written out apart from json_header
+    rep = total_energy(find_model("GPT2-117M"), baselines={**DIGITAL_BASELINES, "custom": 3e-13})
+    doc = rep.to_json_dict()
+    assert list(doc) == ["model", "total_macs", "cells", "class_totals", "category_totals",
+                         "total_j", "baselines_j_per_mac", "advantages"]
+    assert doc["model"] == "GPT2-117M" and doc["total_macs"] == rep.total_macs
+    assert list(doc["cells"]) == list(LAYER_CLASSES)
+    assert all(list(cats) == list(CATEGORIES) for cats in doc["cells"].values())
+    assert doc["cells"] == rep.cells
+    assert list(doc["class_totals"]) == list(LAYER_CLASSES)
+    assert list(doc["category_totals"]) == list(CATEGORIES)
+    names = [*DIGITAL_BASELINES, "custom"]
+    assert list(doc["baselines_j_per_mac"]) == list(doc["advantages"]) == names
+    assert doc["baselines_j_per_mac"] == rep.baselines
+    # the same floats: exact equality
+    assert doc["class_totals"] == rep.class_totals()
+    assert doc["category_totals"] == rep.category_totals()
+    assert doc["total_j"] == rep.total()
+    assert doc["advantages"] == rep.advantages()
+
+
 def test_electrical_energy_matches_closed_form():
     cfg = ModelConfig("t", n=32, d=64, h=4, L=3)
     p = default_profile()

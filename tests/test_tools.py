@@ -118,8 +118,10 @@ print("setup_in_process_s: 0.1 s")
 print("machine: " + json.dumps({"cpu_count": 2, "python": "3"}))
 # the change reads lower in every pair but the first
 rss = seed % 100 + (0.5 if side == "parent" or seed % 100 == 0 else 0.0)
+# setup_s: the change doubles it, beyond its bound
 print(json.dumps({"correct": True, "attempted": 3, "failed": 0, "metrics": {
-    "wall_s": {"value": 0.25, "unit": "s"}, "peak_rss_mb": {"value": rss, "unit": "MB"}}}))
+    "wall_s": {"value": 0.25, "unit": "s"}, "peak_rss_mb": {"value": rss, "unit": "MB"},
+    "setup_s": {"value": 0.5 if side == "change" else 0.25, "unit": "s"}}}))
 '''
 
 
@@ -129,7 +131,10 @@ def _fake_checkouts(tmp_path):
         (tmp_path / side / "perfbench" / "run.py").write_text(FAKE_RUN, encoding="utf-8")
     (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps({
         "workloads": [{"name": "alpha"}, {"name": "beta"}],
-        "end_to_end": [{"name": "wall_s"}, {"name": "peak_rss_mb"}]}), encoding="utf-8")
+        "end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.2},
+                       {"name": "peak_rss_mb", "better": "lower", "bound": 0.1},
+                       {"name": "setup_s", "better": "lower", "bound": 0.25}]}),
+        encoding="utf-8")
 
 
 def _bench_pairs(tmp_path, env=None):
@@ -158,8 +163,20 @@ def test_bench_pairs_alternates_the_checkouts_and_summarizes_the_pairs(tmp_path)
     assert alpha["summary"]["peak_rss_mb"] == {
         "parent": {"q1": 2.75, "median": 5.0, "q3": 7.25},
         "change": {"q1": 2.25, "median": 4.5, "q3": 6.75},
-        "change_lower_in": "9/10", "median_gap": 0.5, "parent_iqr": 4.5}
-    assert alpha["summary"]["wall_s"]["change_lower_in"] == "0/10"
+        "change_lower_in": "9/10", "median_gap": 0.5, "parent_iqr": 4.5,
+        "beyond_bound": False, "unresolved": True}
+    # equal on both sides: inside its bound
+    assert alpha["summary"]["wall_s"] == {
+        "parent": {"q1": 0.25, "median": 0.25, "q3": 0.25},
+        "change": {"q1": 0.25, "median": 0.25, "q3": 0.25},
+        "change_lower_in": "0/10", "median_gap": 0.0, "parent_iqr": 0.0,
+        "beyond_bound": False, "unresolved": False}
+    # 0.25 s worse against a margin of 0.25 x 0.25 s
+    assert alpha["summary"]["setup_s"] == {
+        "parent": {"q1": 0.25, "median": 0.25, "q3": 0.25},
+        "change": {"q1": 0.5, "median": 0.5, "q3": 0.5},
+        "change_lower_in": "0/10", "median_gap": -0.25, "parent_iqr": 0.0,
+        "beyond_bound": True, "unresolved": False}
     assert list(result["workloads"]) == ["alpha", "beta"]
 
 

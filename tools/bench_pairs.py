@@ -12,8 +12,14 @@ per workload the pairs and a summary of each end-to-end metric: the
 quartiles of both sides (inclusive method), the number of pairs in which
 the change reads lower, the median gap (the parent's median minus the
 change's, positive where the change reads lower) and the parent's IQR
-(q3 - q1). A claimed gain needs a gap wider than that IQR. A run that exits non-zero, or prints no JSON result
-or another machine, stops the tool with exit status 1 before OUT is written.
+(q3 - q1). A claimed gain needs a gap wider than that IQR. With the
+metric's `bound` and `better` from the same BENCHMARK.json entry, each
+summary also says whether the change's median is worse than the parent's
+by more than bound x the parent's median (`beyond_bound`: a regression),
+and whether the parent's IQR is wider than that margin (`unresolved`: the
+runs spread too widely to tell). A run that exits non-zero, or prints no
+JSON result or another machine, stops the tool with exit status 1 before
+OUT is written.
 Standard library only.
 
     python tools/bench_pairs.py --parent DIR --change DIR --out BENCH_N.json \\
@@ -54,11 +60,14 @@ def _run(checkout: str, workload: str, seed: int) -> tuple[dict, dict]:
         raise RuntimeError(f"{checkout}: {' '.join(argv[1:])} printed no result and machine")
 
 
-def summary(pairs: list[dict], metrics: list[str]) -> dict:
-    """Per metric: the quartiles of each side, how often the change reads
-    lower, the median gap and the parent's IQR."""
+def summary(pairs: list[dict], metrics: list[dict]) -> dict:
+    """Per metric, a BENCHMARK.json `end_to_end` entry: the quartiles of each
+    side, how often the change reads lower, the median gap, the parent's IQR,
+    and whether the change is worse beyond the metric's bound or the parent
+    spreads wider than it."""
     out = {}
-    for name in metrics:
+    for metric in metrics:
+        name = metric["name"]
         values = {side: [pair[side]["metrics"][name]["value"] for pair in pairs]
                   for side in SIDES}
         entry = {}
@@ -69,11 +78,15 @@ def summary(pairs: list[dict], metrics: list[str]) -> dict:
         entry["change_lower_in"] = f"{lower}/{len(pairs)}"
         entry["median_gap"] = entry["parent"]["median"] - entry["change"]["median"]
         entry["parent_iqr"] = entry["parent"]["q3"] - entry["parent"]["q1"]
+        margin = metric["bound"] * entry["parent"]["median"]
+        worse = -entry["median_gap"] if metric["better"] == "lower" else entry["median_gap"]
+        entry["beyond_bound"] = worse > margin
+        entry["unresolved"] = entry["parent_iqr"] > margin
         out[name] = entry
     return out
 
 
-def bench_pairs(parent: str, change: str, workloads: list[str], metrics: list[str],
+def bench_pairs(parent: str, change: str, workloads: list[str], metrics: list[dict],
                 seed: int) -> dict:
     checkouts = {"parent": parent, "change": change}
     seen_machine = None
@@ -104,7 +117,10 @@ def bench_pairs(parent: str, change: str, workloads: list[str], metrics: list[st
             f"is the run's final JSON line. Seeds {seeds}. Summaries are the quartiles "
             f"(inclusive method) of each end-to-end metric over the pairs, the number "
             f"of pairs in which the change reads lower, the median gap (parent median "
-            f"minus change median) and the parent's IQR (q3 - q1)."),
+            f"minus change median), the parent's IQR (q3 - q1), whether the change's "
+            f"median is worse than the parent's by more than the metric's bound times the "
+            f"parent's median (beyond_bound) and whether the parent's IQR is wider than "
+            f"that margin (unresolved)."),
         "machine": seen_machine,
         "workloads": result,
     }
@@ -120,7 +136,7 @@ def main(argv: list[str]) -> int:
     with open(os.path.join(args.change, "BENCHMARK.json"), encoding="utf-8") as fh:
         declared = json.load(fh)
     workloads = [w["name"] for w in declared["workloads"]]
-    metrics = [m["name"] for m in declared["end_to_end"]]
+    metrics = declared["end_to_end"]
     try:
         result = bench_pairs(args.parent, args.change, workloads, metrics, args.seed)
     except RuntimeError as error:
